@@ -4,7 +4,9 @@ Reads a JSON system description (schema_version 1), runs the requested
 analysis, and writes a CSV time series plus a JSON manifest that
 records every resolved parameter, seed, and version needed to
 reproduce the run.  Exit codes: 0 success, 1 usage or config error,
-2 numeric failure, 3 verification failure.
+2 numeric failure, 3 verification failure.  Every config value and flag
+is checked before any numeric work starts, so a config error writes
+nothing.
 """
 
 import argparse
@@ -90,28 +92,23 @@ def _table_fn(spec, xkey, ykey):
     return lambda t: np.interp(t, x, y)
 
 
-def _input_spectral(cfg, basis):
-    """Deterministic input block -> spectral coefficients."""
-    spec = cfg.get("input", {"form": "delta"})
-    form = spec.get("form")
-    if form == "delta":
-        return delta_spectral(basis)
-    if form == "constant":
-        value = float(spec.get("value", 1.0))
-        return project_function(lambda t: np.full_like(t, value, dtype=float), basis)
-    if form == "table":
-        return project_function(_table_fn(spec, "t", "u"), basis)
-    raise ConfigError(f"unknown input form {form!r} (expected delta|constant|table)")
-
-
-def _mean_fn(spec):
+def _signal_fn(spec, what, default, forms="constant|table"):
+    """constant|table block -> callable of time."""
     form = spec.get("form")
     if form == "constant":
-        value = float(spec.get("value", 0.0))
+        value = float(spec.get("value", default))
         return lambda t: np.full_like(np.asarray(t, dtype=float), value)
     if form == "table":
         return _table_fn(spec, "t", "u")
-    raise ConfigError(f"unknown forcing mean form {form!r} (expected constant|table)")
+    raise ConfigError(f"unknown {what} form {form!r} (expected {forms})")
+
+
+def _input_fn(cfg):
+    """Deterministic input block -> callable of time, or None for the unit impulse."""
+    spec = cfg.get("input", {"form": "delta"})
+    if spec.get("form") == "delta":
+        return None
+    return _signal_fn(spec, "input", 1.0, "delta|constant|table")
 
 
 def _kernel_fn(spec):
@@ -149,7 +146,7 @@ def _forcing_blocks(cfg):
     spec = cfg.get("forcing")
     if not isinstance(spec, dict) or "mean" not in spec or "covariance" not in spec:
         raise ConfigError("stochastic runs need a 'forcing' block with 'mean' and 'covariance'")
-    return _mean_fn(spec["mean"]), _kernel_fn(spec["covariance"])
+    return _signal_fn(spec["mean"], "forcing mean", 0.0), _kernel_fn(spec["covariance"])
 
 
 # ---------------------------------------------------------------------------
@@ -219,271 +216,247 @@ def _base_manifest(command, config_path, cfg, sysm, flags):
 
 # ---------------------------------------------------------------------------
 # verification
+#
+# Each _*_check function reads its parameters from the verify block when
+# the run is prepared, so a malformed value is a config error, and returns
+# a closure that scores the computed output as (report, extra CSV columns).
 
-def _verify_spec(cfg, kinds):
-    spec = cfg.get("verify")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("--verify needs a 'verify' block with a 'kind' in the config")
-    if spec["kind"] not in kinds:
-        raise ConfigError(
-            f"verify kind {spec['kind']!r} not usable here (expected one of {sorted(kinds)})")
-    return spec
+def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
+    """Error of a series against oracle(t) at the midpoints in the window.
+
+    mode "abs" scores |v - ref|, mode "rel" scores |v - ref| / |ref|.
+    """
+    lo, hi = (float(v) for v in spec.get("window", [lo, times[-1]]))
+    tol = float(spec.get("tol_" + mode, tol))
+
+    def check(series):
+        oracle_col = [None] * len(times)
+        err_col = [None] * len(times)
+        worst = 0.0
+        for i, t in enumerate(times):
+            if lo <= t <= hi:
+                ref = oracle_col[i] = oracle(t)
+                err = abs(series[i] - ref)
+                err_col[i] = err if mode == "abs" else err / abs(ref)
+                worst = max(worst, err_col[i])
+        report = {"kind": kind, "window": [lo, hi], "tol_" + mode: tol,
+                  f"max_{mode}_error": worst, "pass": bool(worst <= tol)}
+        return report, [(oracle_name, oracle_col), (f"{mode}_error", err_col)]
+
+    return check
 
 
-def _verify_impulse(spec, times, y):
-    lo, hi = spec.get("window", [0.05, float(times[-1])])
-    tol = float(spec.get("tol_abs", 5e-3))
-    oracle_col = [None] * len(times)
-    err_col = [None] * len(times)
-    worst = 0.0
-    for i, t in enumerate(times):
-        if lo <= t <= hi:
-            ref = oracles.analytic_impulse_example1(t)
-            oracle_col[i] = ref
-            err_col[i] = abs(y[i] - ref)
-            worst = max(worst, err_col[i])
-    report = {"kind": "impulse_integral", "window": [lo, hi], "tol_abs": tol,
-              "max_abs_error": worst, "pass": bool(worst <= tol)}
-    return report, [("oracle", oracle_col), ("abs_error", err_col)]
-
-
-def _verify_gl(spec, cfg, sysm, horizon, times, y):
+def _gl_check(spec, sysm, horizon, times, u_fn, y0):
     n_grid = int(spec.get("n_grid", 1024))
     tol = float(spec.get("tol_abs", 1e-2))
+    if n_grid < 1:
+        raise ConfigError(f"gl_stepper n_grid must be >= 1, got {n_grid}")
     h = horizon / n_grid
-    grid = (np.arange(n_grid) + 1) * h
-    input_spec = cfg.get("input", {"form": "delta"})
-    if input_spec.get("form") == "delta":
-        u = np.zeros(n_grid)
-        u[0] = 1.0 / h  # unit-area pulse in the first step
-    elif input_spec.get("form") == "constant":
-        u = np.full(n_grid, float(input_spec.get("value", 1.0)))
-    else:
-        u = _table_fn(input_spec, "t", "u")(grid)
-    y0 = float(cfg.get("initial", 0.0))
+    shift = 0.0
     if y0 != 0.0:
         # same shift as the spectral solver: march x = y - y0 from rest,
         # absorbing the order-zero LHS coefficient into the forcing
         c = sum(t.coeff for t in sysm.lhs_terms if t.kind == "point" and t.order == 0.0)
         (rhs_term,) = sysm.rhs_terms
-        u = u - c * y0 / rhs_term.coeff
-    ref_full = y0 + oracles.gl_solve(sysm, u, h)
+        shift = c * y0 / rhs_term.coeff
     idx = np.clip(np.round(np.asarray(times) / h).astype(int) - 1, 0, n_grid - 1)
-    ref = ref_full[idx]
-    worst = float(np.max(np.abs(np.asarray(y) - ref)))
-    report = {"kind": "gl_stepper", "n_grid": n_grid, "tol_abs": tol,
-              "max_abs_error": worst, "pass": bool(worst <= tol)}
-    return report, [("oracle", list(ref)), ("abs_error", list(np.abs(np.asarray(y) - ref)))]
+
+    def check(y):
+        if u_fn is None:
+            u = np.zeros(n_grid)
+            u[0] = 1.0 / h  # unit-area pulse in the first step
+        else:
+            u = u_fn((np.arange(n_grid) + 1) * h)
+        ref = (y0 + oracles.gl_solve(sysm, u - shift, h))[idx]
+        err = np.abs(np.asarray(y) - ref)
+        worst = float(np.max(err))
+        report = {"kind": "gl_stepper", "n_grid": n_grid, "tol_abs": tol,
+                  "max_abs_error": worst, "pass": bool(worst <= tol)}
+        return report, [("oracle", list(ref)), ("abs_error", list(err))]
+
+    return check
 
 
-def _verify_ml_variance(spec, times, variance):
-    lo, hi = spec.get("window", [0.5, float(times[-1])])
-    tol = float(spec.get("tol_rel", 0.02))
-    a1 = float(spec.get("a1", 1.0))
-    a2 = float(spec.get("a2", 1.0))
-    alpha1 = float(spec.get("alpha1", 0.75))
-    alpha2 = float(spec.get("alpha2", 1.0))
-    oracle_col = [None] * len(times)
-    err_col = [None] * len(times)
-    worst = 0.0
-    for i, t in enumerate(times):
-        if lo <= t <= hi:
-            ref = oracles.variance_double_integrator(t, a1, a2, alpha1, alpha2)
-            oracle_col[i] = ref
-            err_col[i] = abs(variance[i] - ref) / abs(ref)
-            worst = max(worst, err_col[i])
-    report = {"kind": "ml_variance", "window": [lo, hi], "tol_rel": tol,
-              "max_rel_error": worst, "pass": bool(worst <= tol)}
-    return report, [("oracle_variance", oracle_col), ("rel_error", err_col)]
+def _ml_variance_check(spec, times):
+    a1, a2, alpha1, alpha2 = (float(spec.get(k, d)) for k, d in (
+        ("a1", 1.0), ("a2", 1.0), ("alpha1", 0.75), ("alpha2", 1.0)))
+    window = _window_check(
+        spec, times, "ml_variance", 0.5, "rel", 0.02, "oracle_variance",
+        lambda t: oracles.variance_double_integrator(t, a1, a2, alpha1, alpha2))
+    return lambda variance, mean, forcing: window(variance)
 
 
-def _verify_h2(spec, sysm, times, variance):
+def _h2_check(spec, sysm, times):
     t_min = float(spec.get("t_min", 4.5))
     tol = float(spec.get("tol_rel", 0.05))
     mask = np.asarray(times) >= t_min
     if not np.any(mask):
         raise ConfigError(f"h2_plateau: no block midpoints at or after t_min={t_min}")
-    plateau = float(np.mean(np.asarray(variance)[mask]))
-    ref = oracles.steady_state_variance_frequency(sysm)
-    rel = abs(plateau - ref) / abs(ref)
-    report = {"kind": "h2_plateau", "t_min": t_min, "tol_rel": tol,
-              "plateau": plateau, "reference": ref, "rel_error": rel,
-              "pass": bool(rel <= tol)}
-    return report, []
+
+    def check(variance, mean, forcing):
+        plateau = float(np.mean(np.asarray(variance)[mask]))
+        ref = oracles.steady_state_variance_frequency(sysm)
+        rel = abs(plateau - ref) / abs(ref)
+        report = {"kind": "h2_plateau", "t_min": t_min, "tol_rel": tol,
+                  "plateau": plateau, "reference": ref, "rel_error": rel,
+                  "pass": bool(rel <= tol)}
+        return report, []
+
+    return check
 
 
-def _verify_refinement(spec, sysm, basis, forcing, mean, variance):
+def _refinement_check(spec, sysm, basis):
     tol = float(spec.get("tol_rel", 1e-3))
     bumped = dataclasses.replace(
         sysm,
         random_params=tuple(dataclasses.replace(p, quad_order=p.quad_order + 2)
                             for p in sysm.random_params))
     grid = tensor_cubature(bumped.random_params)
-    r = propagate_moments(bumped, basis, forcing, grid)
-    v = np.array([vi for _, vi in variance_series(r, basis.midpoints())])
-    dm = float(np.max(np.abs(r.mean.coeffs - mean)) / max(np.max(np.abs(mean)), 1e-300))
-    dv = float(np.max(np.abs(v - variance)) / max(np.max(np.abs(variance)), 1e-300))
-    report = {"kind": "colloc_refinement", "tol_rel": tol,
-              "mean_rel_change": dm, "variance_rel_change": dv,
-              "pass": bool(dm <= tol and dv <= tol)}
-    return report, []
+
+    def check(variance, mean, forcing):
+        r = propagate_moments(bumped, basis, forcing, grid)
+        v = np.array([vi for _, vi in variance_series(r, basis.midpoints())])
+        dm = float(np.max(np.abs(r.mean.coeffs - mean)) / max(np.max(np.abs(mean)), 1e-300))
+        dv = float(np.max(np.abs(v - variance)) / max(np.max(np.abs(variance)), 1e-300))
+        report = {"kind": "colloc_refinement", "tol_rel": tol,
+                  "mean_rel_change": dm, "variance_rel_change": dv,
+                  "pass": bool(dm <= tol and dv <= tol)}
+        return report, []
+
+    return check
+
+
+def _verify_check(cfg, args, checks):
+    """The config's verify check, made by its entry in the kind -> check table.
+
+    None without --verify.
+    """
+    if not args.verify:
+        return None
+    spec = cfg.get("verify")
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("--verify needs a 'verify' block with a 'kind' in the config")
+    if spec["kind"] not in checks:
+        raise ConfigError(
+            f"verify kind {spec['kind']!r} not usable here (expected one of {sorted(checks)})")
+    return checks[spec["kind"]](spec)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# solve / stoch / mc
+#
+# Each prepare step reads the rest of the config and the flags and returns
+# a run() closure; run() does the numeric work and returns the named CSV
+# columns and the verify check's (report, extra columns), or None.
 
-def cmd_solve(args):
+def _prepare_solve(cfg, sysm, horizon, args):
     """Deterministic response: CSV columns t,y at block midpoints."""
-    try:
-        cfg = _load_config(args.config)
-        sysm = _build_system(cfg, args.quad_points)
-        horizon = _resolve_horizon(cfg, args)
-        verify_spec = None
-        if args.verify:
-            verify_spec = _verify_spec(cfg, {"impulse_integral", "gl_stepper"})
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    output = args.output or _default_output(args.config, "solve")
-    try:
-        basis = make_basis(args.n_basis, horizon)
-        forcing = _input_spectral(cfg, basis)
-        if "initial" in cfg:
-            y = solve_ivp_shifted(sysm, float(cfg["initial"]), forcing)
-        else:
-            y = solve(sysm, forcing)
-        times = basis.midpoints()
-        header = ["t", "y"]
-        columns = [list(times), list(y.coeffs)]
-        report = None
-        if verify_spec is not None:
-            if verify_spec["kind"] == "impulse_integral":
-                report, extra = _verify_impulse(verify_spec, times, y.coeffs)
-            else:
-                report, extra = _verify_gl(verify_spec, cfg, sysm, horizon, times, y.coeffs)
-            for name, col in extra:
-                header.append(name)
-                columns.append(col)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-
-    manifest = _base_manifest("solve", args.config, cfg, sysm, {
-        "n_basis": args.n_basis, "horizon": horizon,
-        "quad_points": args.quad_points, "output": output, "verify": bool(args.verify),
+    basis = make_basis(args.n_basis, horizon)
+    times = basis.midpoints()
+    u_fn = _input_fn(cfg)
+    y0 = float(cfg.get("initial", 0.0))
+    check = _verify_check(cfg, args, {
+        "impulse_integral": lambda spec: _window_check(
+            spec, times, "impulse_integral", 0.05, "abs", 5e-3,
+            "oracle", oracles.analytic_impulse_example1),
+        "gl_stepper": lambda spec: _gl_check(spec, sysm, horizon, times, u_fn, y0),
     })
-    if report is not None:
-        manifest["verify"] = report
-    _write_outputs(output, header, columns, manifest)
-    if report is not None and not report["pass"]:
-        print(f"verification FAILED: {json.dumps(report)}", file=sys.stderr)
-        return 3
-    return 0
+
+    def run():
+        forcing = delta_spectral(basis) if u_fn is None else project_function(u_fn, basis)
+        if "initial" in cfg:
+            y = solve_ivp_shifted(sysm, y0, forcing).coeffs
+        else:
+            y = solve(sysm, forcing).coeffs
+        return [("t", times), ("y", y)], check and check(y)
+
+    return run
 
 
-def cmd_stoch(args):
+def _prepare_stoch(cfg, sysm, horizon, args):
     """Collocation moments: CSV columns t,mean,variance at block midpoints."""
-    try:
-        cfg = _load_config(args.config)
-        sysm = _build_system(cfg, args.quad_points)
-        horizon = _resolve_horizon(cfg, args)
-        mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
-        verify_spec = None
-        if args.verify:
-            verify_spec = _verify_spec(
-                cfg, {"ml_variance", "h2_plateau", "colloc_refinement"})
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    basis = make_basis(args.n_basis, horizon)
+    times = basis.midpoints()
+    mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
+    check = _verify_check(cfg, args, {
+        "ml_variance": lambda spec: _ml_variance_check(spec, times),
+        "h2_plateau": lambda spec: _h2_check(spec, sysm, times),
+        "colloc_refinement": lambda spec: _refinement_check(spec, sysm, basis),
+    })
 
-    output = args.output or _default_output(args.config, "stoch")
-    try:
-        basis = make_basis(args.n_basis, horizon)
+    def run():
         mean_sv = project_function(mean_fn, basis)
         if white_q is not None:
             cov_sm = white_noise_covariance(basis, white_q)
         else:
             cov_sm = project_bivariate(kernel, basis)
         forcing = StochasticForcing(mean_sv, cov_sm)
-        grid = tensor_cubature(sysm.random_params) if sysm.random_params else None
-        r = propagate_moments(sysm, basis, forcing, grid)
-        times = basis.midpoints()
+        r = propagate_moments(sysm, basis, forcing)
         variance = np.array([v for _, v in variance_series(r, times)])
-        header = ["t", "mean", "variance"]
-        columns = [list(times), list(r.mean.coeffs), list(variance)]
-        report = None
-        if verify_spec is not None:
-            kind = verify_spec["kind"]
-            if kind == "ml_variance":
-                report, extra = _verify_ml_variance(verify_spec, times, variance)
-            elif kind == "h2_plateau":
-                report, extra = _verify_h2(verify_spec, sysm, times, variance)
-            else:
-                report, extra = _verify_refinement(
-                    verify_spec, sysm, basis, forcing, r.mean.coeffs, variance)
-            for name, col in extra:
-                header.append(name)
-                columns.append(col)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        columns = [("t", times), ("mean", r.mean.coeffs), ("variance", variance)]
+        return columns, check and check(variance, r.mean.coeffs, forcing)
 
-    manifest = _base_manifest("stoch", args.config, cfg, sysm, {
-        "n_basis": args.n_basis, "horizon": horizon,
-        "quad_points": args.quad_points, "output": output, "verify": bool(args.verify),
-    })
+    return run
+
+
+def _prepare_mc(cfg, sysm, horizon, args):
+    """Monte Carlo moments: CSV columns t,mean,variance,mean_stderr,variance_stderr."""
+    mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
+    if args.n_grid < 1:
+        raise ConfigError(f"--n-grid must be >= 1, got {args.n_grid}")
+    forcing = oracles.ForcingModel(mean_fn=mean_fn, kernel=kernel, white_intensity=white_q)
+
+    def run():
+        r = oracles.mc_moments(sysm, forcing, horizon, args.n_grid,
+                               args.samples, args.seed, halton=args.halton)
+        return [("t", r.times), ("mean", r.mean), ("variance", r.variance),
+                ("mean_stderr", r.se_mean), ("variance_stderr", r.se_variance)], None
+
+    return run
+
+
+def _fail(code, e):
+    detail = e if isinstance(e, ConfigError) else f"{type(e).__name__}: {e}"
+    print(f"error: {detail}", file=sys.stderr)
+    return code
+
+
+def _run(args):
+    """Run solve, stoch or mc in three steps, each with its own exit code.
+
+    1. Prepare: load the config, build the system, resolve the horizon,
+       and let the command read everything else.  Any error exits 1
+       before any numeric work, and nothing is written.
+    2. Compute: any failure exits 2, and nothing is written.
+    3. Write the CSV and the manifest; a failed verification exits 3.
+    """
+    try:
+        cfg = _load_config(args.config)
+        sysm = _build_system(cfg, getattr(args, "quad_points", None))
+        horizon = _resolve_horizon(cfg, args)
+        run = args.prepare(cfg, sysm, horizon, args)
+    except Exception as e:
+        return _fail(1, e)
+    try:
+        columns, verdict = run()
+    except Exception as e:
+        return _fail(2, e)
+
+    report, extra = verdict or (None, [])
+    columns += extra
+    output = args.output or _default_output(args.config, args.command)
+    resolved = {"horizon": horizon, "output": output}
+    flags = {k: resolved.get(k, getattr(args, k)) for k in args.flags}
+    manifest = _base_manifest(args.command, args.config, cfg, sysm, flags)
     if report is not None:
         manifest["verify"] = report
-    _write_outputs(output, header, columns, manifest)
+    _write_outputs(output, [name for name, _ in columns],
+                   [list(col) for _, col in columns], manifest)
     if report is not None and not report["pass"]:
         print(f"verification FAILED: {json.dumps(report)}", file=sys.stderr)
         return 3
-    return 0
-
-
-def cmd_mc(args):
-    """Monte Carlo moments: CSV columns t,mean,variance,mean_stderr,variance_stderr."""
-    try:
-        cfg = _load_config(args.config)
-        sysm = _build_system(cfg, None)
-        horizon = _resolve_horizon(cfg, args)
-        mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
-        if args.samples < 2:
-            raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-        if args.n_grid < 1:
-            raise ConfigError(f"--n-grid must be >= 1, got {args.n_grid}")
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    output = args.output or _default_output(args.config, "mc")
-    try:
-        forcing = oracles.ForcingModel(mean_fn=mean_fn, kernel=kernel,
-                                       white_intensity=white_q)
-        r = oracles.mc_moments(sysm, forcing, horizon, args.n_grid,
-                               args.samples, args.seed, halton=args.halton)
-        header = ["t", "mean", "variance", "mean_stderr", "variance_stderr"]
-        columns = [list(r.times), list(r.mean), list(r.variance),
-                   list(r.se_mean), list(r.se_variance)]
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-
-    manifest = _base_manifest("mc", args.config, cfg, sysm, {
-        "n_grid": args.n_grid, "horizon": horizon, "samples": args.samples,
-        "seed": args.seed, "halton": bool(args.halton), "output": output,
-    })
-    _write_outputs(output, header, columns, manifest)
     return 0
 
 
@@ -549,23 +522,17 @@ def build_parser():
         description="Distributed-order system analysis on block pulse bases.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="deterministic response")
-    _add_common(p)
-    p.add_argument("--n-basis", type=int, default=512, help="block count (default 512)")
-    p.add_argument("--quad-points", type=int, default=None,
-                   help="order-quadrature points per distributed term (default 3)")
-    p.add_argument("--verify", action="store_true",
-                   help="run the config's verify block; violations exit 3")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("stoch", help="collocation moments")
-    _add_common(p)
-    p.add_argument("--n-basis", type=int, default=512, help="block count (default 512)")
-    p.add_argument("--quad-points", type=int, default=None,
-                   help="order-quadrature points per distributed term (default 3)")
-    p.add_argument("--verify", action="store_true",
-                   help="run the config's verify block; violations exit 3")
-    p.set_defaults(func=cmd_stoch)
+    for name, help_, prepare in (("solve", "deterministic response", _prepare_solve),
+                                 ("stoch", "collocation moments", _prepare_stoch)):
+        p = sub.add_parser(name, help=help_)
+        _add_common(p)
+        p.add_argument("--n-basis", type=int, default=512, help="block count (default 512)")
+        p.add_argument("--quad-points", type=int, default=None,
+                       help="order-quadrature points per distributed term (default 3)")
+        p.add_argument("--verify", action="store_true",
+                       help="run the config's verify block; violations exit 3")
+        p.set_defaults(func=_run, prepare=prepare,
+                       flags=("n_basis", "horizon", "quad_points", "output", "verify"))
 
     p = sub.add_parser("mc", help="Monte Carlo moments")
     _add_common(p)
@@ -574,7 +541,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
     p.add_argument("--halton", action="store_true",
                    help="scrambled Halton stream for parameter draws")
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(func=_run, prepare=_prepare_mc,
+                   flags=("n_grid", "horizon", "samples", "seed", "halton", "output"))
 
     p = sub.add_parser("oracle", help="print reference values")
     p.add_argument("name", help="|".join(_ORACLE_NAMES))

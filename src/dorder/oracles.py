@@ -17,7 +17,7 @@ from scipy.linalg import cholesky
 from scipy.special import gammaln, rgamma, ndtri
 from scipy.stats import qmc
 
-from .dosys import density_quadrature, _density_callable
+from .dosys import density_quadrature, _density_callable, _resolve_coeff
 
 __all__ = [
     "mittag_leffler", "analytic_impulse_example1",
@@ -187,11 +187,7 @@ def _dist_frequency_factor(term, s):
 def _side_frequency(terms, s, param_values):
     total = 0j
     for t in terms:
-        coeff = t.coeff
-        if isinstance(coeff, str):
-            if not param_values or coeff not in param_values:
-                raise ValueError(f"parameter {coeff!r} unbound in frequency evaluation")
-            coeff = float(param_values[coeff])
+        coeff = _resolve_coeff(t, param_values)
         if t.kind == "point":
             if t.order == 0.0:
                 total += coeff
@@ -286,14 +282,6 @@ def _unit_term_weights(term, n, h):
     return col
 
 
-def _resolve(coeff, param_values):
-    if isinstance(coeff, str):
-        if not param_values or coeff not in param_values:
-            raise ValueError(f"parameter {coeff!r} unbound in time stepping")
-        return float(param_values[coeff])
-    return coeff
-
-
 def _gl_step(w_lhs, rhs):
     """March y through w_lhs * y = rhs (truncated convolution on the left)."""
     if w_lhs[0] == 0.0:
@@ -327,10 +315,10 @@ def gl_solve(sys, input_samples, step, param_values=None):
 
     w_lhs = np.zeros(n)
     for t in sys.lhs_terms:
-        w_lhs += _resolve(t.coeff, param_values) * _unit_term_weights(t, n, h)
+        w_lhs += _resolve_coeff(t, param_values) * _unit_term_weights(t, n, h)
     rhs = np.zeros(n)
     for t in sys.rhs_terms:
-        col = _resolve(t.coeff, param_values) * _unit_term_weights(t, n, h)
+        col = _resolve_coeff(t, param_values) * _unit_term_weights(t, n, h)
         rhs += np.convolve(col, u)[:n]
     return _gl_step(w_lhs, rhs)
 
@@ -482,8 +470,8 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
     h = float(horizon) / n_grid
     times = (np.arange(n_grid) + 1) * h
 
-    lhs_cols = [(t.coeff, _unit_term_weights(t, n_grid, h)) for t in sys.lhs_terms]
-    rhs_cols = [(t.coeff, _unit_term_weights(t, n_grid, h)) for t in sys.rhs_terms]
+    lhs_cols = [(t, _unit_term_weights(t, n_grid, h)) for t in sys.lhs_terms]
+    rhs_cols = [(t, _unit_term_weights(t, n_grid, h)) for t in sys.rhs_terms]
     mean_vals = forcing.mean_values(times)
 
     ell = None
@@ -521,11 +509,11 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
             path = mean_vals + white_scale * rng.standard_normal(n_grid)
 
         w_lhs = np.zeros(n_grid)
-        for coeff, col in lhs_cols:
-            w_lhs += _resolve(coeff, values) * col
+        for t, col in lhs_cols:
+            w_lhs += _resolve_coeff(t, values) * col
         rhs = np.zeros(n_grid)
-        for coeff, col in rhs_cols:
-            rhs += _resolve(coeff, values) * np.convolve(col, path)[:n_grid]
+        for t, col in rhs_cols:
+            rhs += _resolve_coeff(t, values) * np.convolve(col, path)[:n_grid]
         acc.update(_gl_step(w_lhs, rhs))
 
     return McResult(times, acc.mean.copy(), acc.variance(), acc.se_mean(),

@@ -100,8 +100,9 @@ def parameter_quadrature(p):
     """Probability-weighted quadrature rule for one random parameter.
 
     uniform: Gauss-Legendre nodes mapped to [lo, hi], weights divided
-    by 2 so they sum to 1.  gaussian: probabilists' Gauss-Hermite rule
-    scaled by (mean, stddev), weights divided by sqrt(2 pi).
+    by 2 so they sum to 1 up to rounding.  gaussian: probabilists'
+    Gauss-Hermite rule scaled by (mean, stddev), weights divided by
+    sqrt(2 pi).
 
     Returns
     -------

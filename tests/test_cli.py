@@ -177,6 +177,61 @@ def test_missing_config_file(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _example(n):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "configs", f"example{n}.json")) as fh:
+        return json.load(fh)
+
+
+def _set(*path):
+    """Config edit that sets the value at `path` (last item is the value)."""
+    *keys, last, value = path
+
+    def edit(cfg):
+        for k in keys:
+            cfg = cfg[k]
+        cfg[last] = value
+    return edit
+
+
+MC_SMALL = ["--n-grid", "8", "--samples", "4"]
+
+# (command, example config, edit, extra flags)
+MALFORMED = {
+    "horizon": ("stoch", 4, _set("horizon", "abc"), []),
+    "covariance_table_without_k": (
+        "stoch", 4, _set("forcing", "covariance", {"form": "table", "t": [0, 1]}), []),
+    "mean_table_without_u": (
+        "stoch", 4, _set("forcing", "mean", {"form": "table", "t": [0, 1]}), []),
+    "mean_value_stoch": ("stoch", 4, _set("forcing", "mean", "value", "x"), []),
+    "mean_value_mc": ("mc", 4, _set("forcing", "mean", "value", "x"), MC_SMALL),
+    "covariance_string": ("stoch", 4, _set("forcing", "covariance", "white"), []),
+    "verify_tol_rel": ("stoch", 4, _set("verify", "tol_rel", "abc"), ["--verify"]),
+    "verify_t_min": ("stoch", 4, _set("verify", "t_min", "abc"), ["--verify"]),
+    "input_table_without_u": ("solve", 1, _set("input", {"form": "table", "t": [0, 1]}), []),
+    "verify_window": ("stoch", 3, _set("verify", "window", [1]), ["--verify"]),
+    "input_string": ("solve", 1, _set("input", "delta"), []),
+    "initial": ("solve", 2, _set("initial", "abc"), []),
+    "verify_n_grid": ("solve", 2, _set("verify", "n_grid", -4), ["--verify"]),
+    "quad_points_zero": ("solve", 2, lambda cfg: None, ["--quad-points", "0"]),
+    "n_basis_zero": ("solve", 1, lambda cfg: None, ["--n-basis", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_one_before_writing(workdir, capsys, case):
+    command, example, edit, extra = MALFORMED[case]
+    cfg = _example(example)
+    edit(cfg)
+    path = write_config(workdir, cfg)
+    argv = [command, path, "--output", "out.csv"]
+    if command != "mc" and "--n-basis" not in extra:
+        argv += ["--n-basis", "16"]
+    assert main(argv + extra) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["case.json"]
+
+
 def test_solver_failure_is_exit_two(workdir, capsys):
     cfg = json.loads(json.dumps(INTEGRATOR))
     cfg["terms"].insert(1, {"side": "lhs", "sense": "derivative",
