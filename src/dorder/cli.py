@@ -228,17 +228,19 @@ def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
     """
     lo, hi = (float(v) for v in spec.get("window", [lo, times[-1]]))
     tol = float(spec.get("tol_" + mode, tol))
+    inside = [i for i, t in enumerate(times) if lo <= t <= hi]
+    if not inside:
+        raise ConfigError(f"{kind}: no block midpoints in window [{lo}, {hi}]")
 
     def check(series):
         oracle_col = [None] * len(times)
         err_col = [None] * len(times)
         worst = 0.0
-        for i, t in enumerate(times):
-            if lo <= t <= hi:
-                ref = oracle_col[i] = oracle(t)
-                err = abs(series[i] - ref)
-                err_col[i] = err if mode == "abs" else err / abs(ref)
-                worst = max(worst, err_col[i])
+        for i in inside:
+            ref = oracle_col[i] = oracle(times[i])
+            err = abs(series[i] - ref)
+            err_col[i] = err if mode == "abs" else err / abs(ref)
+            worst = max(worst, err_col[i])
         report = {"kind": kind, "window": [lo, hi], "tol_" + mode: tol,
                   f"max_{mode}_error": worst, "pass": bool(worst <= tol)}
         return report, [(oracle_name, oracle_col), (f"{mode}_error", err_col)]
@@ -351,6 +353,8 @@ def _verify_check(cfg, args, checks):
 
 def _prepare_solve(cfg, sysm, horizon, args):
     """Deterministic response: CSV columns t,y at block midpoints."""
+    if sysm.random_params:
+        raise ConfigError("system has random parameters; use 'stoch' or 'mc' for its moments")
     basis = make_basis(args.n_basis, horizon)
     times = basis.midpoints()
     u_fn = _input_fn(cfg)

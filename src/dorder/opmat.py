@@ -171,7 +171,7 @@ def scale(a, k):
 
 
 def to_dense(m):
-    """Materialize the full N x N matrix.  Test and sandwich use only."""
+    """Materialize the full N x N matrix.  For dense reference checks in tests."""
     r = np.zeros_like(m.first_col)
     r[0] = m.first_col[0]
     return toeplitz(m.first_col, r)

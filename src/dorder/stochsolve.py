@@ -1,16 +1,18 @@
 """Output moments under random forcing and random coefficients.
 
-For a linear system the output mean and covariance follow from the
-input mean and covariance through the assembled operator:
+For a linear system the output mean and variance follow from the
+input mean C_mU and covariance C_kUU through the assembled operator:
 
     C_mY  = E[A_G] C_mU
-    C_kYY = E[ A_G (C_kUU + C_mU C_mU^T) A_G^T ] - C_mY C_mY^T
+    var_Y = E[ diag(A_G C_kUU A_G^T) + (A_G C_mU - C_mY)^2 ]
 
-With deterministic coefficients the expectations drop out.  With
-random coefficients they are evaluated by full tensor Gauss cubature
-over the parameters (stochastic collocation): assemble A_G at every
-node, accumulate probability-weighted sums.  Accumulation is
-compensated so node ordering cannot move results beyond roundoff.
+This is the diagonal of E[A_G (C_kUU + C_mU C_mU^T) A_G^T] - C_mY C_mY^T
+in centred form: every term is a variance, so nothing cancels.  With
+deterministic coefficients the expectations drop out.  With random
+coefficients they are evaluated by full tensor Gauss cubature over the
+parameters (stochastic collocation): assemble A_G at every node and sum
+the per-node vectors with the probability weights in one weighted sum,
+so node ordering moves results only at roundoff.
 """
 
 import logging
@@ -20,7 +22,7 @@ from itertools import product
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .bpf import SpectralVector, SpectralMatrix, reconstruct_bivariate
+from .bpf import SpectralVector, SpectralMatrix, reconstruct
 from . import opmat
 from .dosys import assemble_system_operator
 
@@ -73,10 +75,10 @@ class StochasticForcing:
 
 @dataclass(frozen=True, eq=False)
 class MomentResult:
-    """Output mean and covariance in spectral form."""
+    """Output mean and block variances in spectral form."""
 
     mean: SpectralVector
-    covariance: SpectralMatrix
+    variance: SpectralVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,20 +146,6 @@ def tensor_cubature(params):
     return CubatureGrid(tuple(nodes), np.array(weights))
 
 
-class _Kahan:
-    """Compensated elementwise accumulator for arrays."""
-
-    def __init__(self, shape):
-        self.s = np.zeros(shape)
-        self.c = np.zeros(shape)
-
-    def add(self, x):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
 def _grid_or_trivial(sys, grid):
     if grid is not None:
         return grid
@@ -166,43 +154,50 @@ def _grid_or_trivial(sys, grid):
     return CubatureGrid(({},), np.array([1.0]))
 
 
+def _assemble(sys, basis, j, node):
+    try:
+        return assemble_system_operator(sys, basis, node)
+    except (ValueError, RuntimeError) as e:
+        raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
+
+
+def _lower_toeplitz_view(a):
+    """Read-only N x N view with entry [i, k] = a[i - k] for i >= k, else 0."""
+    n = a.shape[0]
+    padded = np.concatenate([a[::-1], np.zeros(n - 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+
+
 def expected_operator(sys, basis, grid):
-    """E[A_G] over the cubature grid, accumulated on first columns."""
-    acc = _Kahan(basis.n_funcs)
-    for j, (node, w) in enumerate(zip(grid.nodes, grid.weights)):
-        try:
-            ag = assemble_system_operator(sys, basis, node)
-        except (ValueError, RuntimeError) as e:
-            raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
-        acc.add(w * ag.first_col)
-    return opmat.OpMatrix(basis, acc.s, label="E[A_G]")
+    """E[A_G] over the cubature grid, summed on first columns."""
+    cols = [_assemble(sys, basis, j, node).first_col for j, node in enumerate(grid.nodes)]
+    return opmat.OpMatrix(basis, grid.weights @ np.stack(cols), label="E[A_G]")
 
 
-def expected_sandwich(sys, basis, grid, m):
-    """E[A_G M A_G^T] over the grid; dense N x N result.
+def expected_sandwich(sys, basis, grid, forcing, mean_y):
+    """Output variance E[diag(A_G C A_G^T) + (A_G mu - mean_y)^2] over the grid.
 
-    A_G is lower-triangular Toeplitz, so both products are truncated
-    convolutions with its first column (FFT over columns, then rows);
-    this stays O(N^2 log N) per node without ever forming A_G densely.
-    Each summand is a congruence transform of the symmetric M, so the
-    exact sum is symmetric; roundoff asymmetry is left to the caller.
+    C and mu are the forcing covariance and mean, mean_y the output mean
+    E[A_G] mu as an array.  A_G is lower-triangular Toeplitz, so A_G C is
+    one truncated convolution of its first column down the columns of C
+    (FFT, O(N^2 log N) per node), and diag(A_G C A_G^T) is the row-wise
+    product of A_G C with a strided view of A_G.  Both terms are
+    variances, so no cancelling subtraction is left to the caller.
     """
-    mm = m.coeffs if isinstance(m, SpectralMatrix) else np.asarray(m, dtype=float)
+    c = forcing.covariance.coeffs
     n = basis.n_funcs
-    acc = _Kahan((n, n))
-    for j, (node, w) in enumerate(zip(grid.nodes, grid.weights)):
-        try:
-            ag = assemble_system_operator(sys, basis, node)
-        except (ValueError, RuntimeError) as e:
-            raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
+    per_node = []
+    for j, node in enumerate(grid.nodes):
+        ag = _assemble(sys, basis, j, node)
         a = ag.first_col
-        t = fftconvolve(a[:, None], mm, axes=0)[:n]
-        acc.add(w * fftconvolve(a[None, :], t, axes=1)[:, :n])
-    return acc.s
+        ac = fftconvolve(a[:, None], c, axes=0)[:n]
+        dev = opmat.apply(ag, forcing.mean).coeffs - mean_y
+        per_node.append(np.einsum("ik,ik->i", ac, _lower_toeplitz_view(a)) + dev * dev)
+    return grid.weights @ np.stack(per_node)
 
 
 def propagate_moments(sys, basis, forcing, grid=None):
-    """Mean and covariance of the output.
+    """Mean and variance of the output.
 
     Parameters
     ----------
@@ -224,33 +219,17 @@ def propagate_moments(sys, basis, forcing, grid=None):
     _check_covariance(forcing.covariance.coeffs, "input")
     grid = _grid_or_trivial(sys, grid)
 
-    ea = expected_operator(sys, basis, grid)
-    mean_y = opmat.apply(ea, forcing.mean)
-
-    mu = forcing.mean.coeffs
-    inner = forcing.covariance.coeffs + np.outer(mu, mu)
-    s = expected_sandwich(sys, basis, grid, inner)
-    out = np.outer(mean_y.coeffs, mean_y.coeffs)
-    cov = s - out
-
-    # roundoff in the subtraction is relative to its operands, not to the
-    # (possibly tiny) difference, so tolerances use the operand scale
-    scale = max(np.abs(s).max(), np.abs(out).max(), 1e-300)
-    skew = np.abs(cov - cov.T).max()
-    if skew > _SYM_RTOL * scale:
-        raise RuntimeError(f"output covariance asymmetry {skew:.3e} exceeds "
-                           f"tolerance at scale {scale:.3e}")
-    cov = 0.5 * (cov + cov.T)
-    d = np.diag(cov)
-    if d.min() < -_PSD_RTOL * scale:
-        raise RuntimeError(
-            f"output variance went negative beyond tolerance: min diagonal "
-            f"{d.min():.3e} at scale {scale:.3e}")
-    return MomentResult(mean_y, SpectralMatrix(basis, cov))
+    mean_y = opmat.apply(expected_operator(sys, basis, grid), forcing.mean)
+    var = expected_sandwich(sys, basis, grid, forcing, mean_y.coeffs)
+    scale = max(np.abs(var).max(), 1e-300)
+    if var.min() < -_PSD_RTOL * scale:
+        raise RuntimeError(f"output variance went negative beyond tolerance: "
+                           f"min {var.min():.3e} at scale {scale:.3e}")
+    return MomentResult(mean_y, SpectralVector(basis, var))
 
 
 def variance_series(r, times):
-    """Output variance at the given times, from the covariance diagonal.
+    """Output variance at the given times.
 
     Tiny negative values within the projection-noise tolerance are
     clamped to zero (logged); larger violations have already been
@@ -259,7 +238,7 @@ def variance_series(r, times):
     out = []
     clamped = 0
     for t in times:
-        v = reconstruct_bivariate(r.covariance, t, t)
+        v = reconstruct(r.variance, t)
         if v < 0.0:
             clamped += 1
             v = 0.0

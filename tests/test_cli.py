@@ -215,6 +215,10 @@ MALFORMED = {
     "verify_n_grid": ("solve", 2, _set("verify", "n_grid", -4), ["--verify"]),
     "quad_points_zero": ("solve", 2, lambda cfg: None, ["--quad-points", "0"]),
     "n_basis_zero": ("solve", 1, lambda cfg: None, ["--n-basis", "0"]),
+    "solve_random_params": ("solve", 5, lambda cfg: None, []),
+    "impulse_integral_empty_window": (
+        "solve", 1, _set("verify", "window", [6, 7]), ["--verify"]),
+    "ml_variance_empty_window": ("stoch", 3, _set("verify", "window", [6, 7]), ["--verify"]),
 }
 
 

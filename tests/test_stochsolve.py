@@ -1,4 +1,4 @@
-"""Moment propagation: cubature, expectation operators, covariance checks."""
+"""Moment propagation: cubature, expectation operators, variance, covariance checks."""
 
 import logging
 
@@ -118,10 +118,30 @@ def test_expected_sandwich_deterministic_matches_direct():
     sysm = simple_sys([(1.0, 1.0), (0.4, 0.0)])
     g = rng.standard_normal((24, 24))
     m = g @ g.T
+    mu, mean_y = rng.standard_normal(24), rng.standard_normal(24)
     grid = CubatureGrid(({},), np.array([1.0]))
-    s = expected_sandwich(sysm, b, grid, m)
+    f = StochasticForcing(SpectralVector(b, mu), SpectralMatrix(b, m))
+    s = expected_sandwich(sysm, b, grid, f, mean_y)
     a = to_dense(assemble_system_operator(sysm, b))
-    assert np.allclose(s, a @ m @ a.T, atol=1e-12 * np.abs(m).max())
+    direct = np.diag(a @ m @ a.T) + (a @ mu - mean_y) ** 2
+    assert np.allclose(s, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
+
+
+def test_variance_order_insensitive():
+    b = make_basis(16, 1.0)
+    sysm = DOSystem(
+        (DensityTerm("lhs", "derivative", "k", "point", order=1.0),
+         DensityTerm("lhs", "derivative", 1.0, "point", order=0.0)),
+        (DensityTerm("rhs", "derivative", 1.0, "point", order=0.0),),
+        (RandomParameter("k", "uniform", lo=0.5, hi=1.5, quad_order=7),))
+    grid = tensor_cubature(sysm.random_params)
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(len(grid))
+    shuffled = CubatureGrid(tuple(grid.nodes[i] for i in perm), grid.weights[perm])
+    f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
+    a = propagate_moments(sysm, b, f, grid).variance.coeffs
+    c = propagate_moments(sysm, b, f, shuffled).variance.coeffs
+    assert np.max(np.abs(a - c)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
 def test_expected_sandwich_node_failure_names_node():
@@ -149,7 +169,7 @@ def test_white_noise_through_identity():
     f = StochasticForcing(zero_mean(b), white_noise_covariance(b, 0.7))
     r = propagate_moments(sysm, b, f)
     assert np.allclose(r.mean.coeffs, 0.0, atol=1e-15)
-    assert np.allclose(r.covariance.coeffs, 0.7 * (16 / 2.0) * np.eye(16), atol=1e-12)
+    assert np.allclose(r.variance.coeffs, 0.7 * (16 / 2.0), rtol=0.0, atol=1e-12)
 
 
 def test_mean_propagation_matches_deterministic_solve():
@@ -159,7 +179,7 @@ def test_mean_propagation_matches_deterministic_solve():
     f = StochasticForcing(mean, SpectralMatrix(b, np.zeros((32, 32))))
     r = propagate_moments(sysm, b, f)
     assert np.allclose(r.mean.coeffs, solve(sysm, mean).coeffs, atol=1e-14)
-    assert np.abs(r.covariance.coeffs).max() <= 1e-14
+    assert np.abs(r.variance.coeffs).max() <= 1e-14
 
 
 def test_deterministic_forcing_random_system_gives_parameter_variance():
@@ -199,8 +219,8 @@ def test_input_covariance_validation():
 
 def test_variance_series_pairs_and_clamping(caplog):
     b = make_basis(4, 1.0)
-    cov = np.diag([1.0, -1e-13, 2.0, 0.0])
-    r = MomentResult(SpectralVector(b, np.zeros(4)), SpectralMatrix(b, cov))
+    var = np.array([1.0, -1e-13, 2.0, 0.0])
+    r = MomentResult(SpectralVector(b, np.zeros(4)), SpectralVector(b, var))
     with caplog.at_level(logging.WARNING, logger="dorder.stochsolve"):
         pairs = variance_series(r, b.midpoints())
     assert [t for t, _ in pairs] == list(b.midpoints())
@@ -208,22 +228,35 @@ def test_variance_series_pairs_and_clamping(caplog):
     assert any("clamped" in m for m in caplog.messages)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_output_covariance_symmetric_near_psd(seed):
+def dense_variance(sysm, b, f, grid):
+    """sum_j w_j diag(A_j (C + mu mu^T) A_j^T) - mean^2 from dense A_j, and its scale."""
+    mu = f.mean.coeffs
+    inner = f.covariance.coeffs + np.outer(mu, mu)
+    dense = [to_dense(assemble_system_operator(sysm, b, node)) for node in grid.nodes]
+    second = sum(w * np.diag(a @ inner @ a.T) for w, a in zip(grid.weights, dense))
+    mean = sum(w * (a @ mu) for w, a in zip(grid.weights, dense))
+    return second - mean ** 2, np.abs(second).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+       st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.integers(1, 4), st.integers(1, 24))
+def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank):
+    # exact in exact arithmetic; the dense reference subtracts mean^2 from
+    # the second moment, so the tolerance is relative to the second moment
     rng = np.random.default_rng(seed)
-    n = 24
     b = make_basis(n, 2.0)
     sysm = DOSystem(
-        (DensityTerm("lhs", "derivative", 1.0, "point", order=float(rng.choice([0.5, 1.0]))),
-         DensityTerm("lhs", "derivative", "k", "point", order=0.0)),
-        (DensityTerm("rhs", "derivative", 1.0, "point", order=0.0),),
-        (RandomParameter("k", "uniform", lo=0.2, hi=1.0, quad_order=3),))
-    g = rng.standard_normal((n, n)) / np.sqrt(n)
+        (DensityTerm("lhs", "derivative", 1.0, "point", order=order1),
+         DensityTerm("lhs", "derivative", "k", "point", order=order2)),
+        (DensityTerm("rhs", "derivative", "g", "point", order=0.0),),
+        (RandomParameter("k", "uniform", lo=0.2, hi=1.0, quad_order=q),
+         RandomParameter("g", "gaussian", mean=1.0, stddev=0.3, quad_order=2)))
+    g = rng.standard_normal((n, min(rank, n))) / np.sqrt(n)
     f = StochasticForcing(SpectralVector(b, rng.standard_normal(n)),
                           SpectralMatrix(b, g @ g.T))
-    r = propagate_moments(sysm, b, f)
-    c = r.covariance.coeffs
-    assert np.array_equal(c, c.T)  # symmetrized on return
-    scale = max(np.abs(c).max(), 1e-300)
-    assert np.linalg.eigvalsh(c).min() >= -1e-8 * scale
+    grid = tensor_cubature(sysm.random_params)
+    var = propagate_moments(sysm, b, f, grid).variance.coeffs
+    ref, scale = dense_variance(sysm, b, f, grid)
+    assert np.max(np.abs(var - ref)) <= 1e-12 * scale
+    assert np.all(var >= 0.0)
