@@ -244,4 +244,6 @@ def white_noise_covariance(basis, intensity):
     if not np.isfinite(intensity) or intensity < 0:
         raise ValueError(f"intensity must be nonnegative, got {intensity!r}")
     n = basis.n_funcs
-    return SpectralMatrix(basis, np.eye(n) * (intensity * n / basis.horizon))
+    c = np.zeros((n, n))
+    np.fill_diagonal(c, intensity * n / basis.horizon)
+    return SpectralMatrix(basis, c)

@@ -26,7 +26,7 @@ from .bpf import (make_basis, project_function, project_bivariate,
 from .dosys import system_from_dict, system_to_dict
 from .detsolve import solve, solve_ivp_shifted
 from .stochsolve import (StochasticForcing, tensor_cubature,
-                         propagate_moments, variance_series)
+                         propagate_moments, variance_series, _rank_rtol)
 from . import oracles
 
 SCHEMA_VERSION = 1
@@ -349,7 +349,8 @@ def _verify_check(cfg, args, checks):
 #
 # Each prepare step reads the rest of the config and the flags and returns
 # a run() closure; run() does the numeric work and returns the named CSV
-# columns and the verify check's (report, extra columns), or None.
+# columns, the verify check's (report, extra columns) or None, and the
+# manifest's deterministic "diagnostics" block or None.
 
 def _prepare_solve(cfg, sysm, horizon, args):
     """Deterministic response: CSV columns t,y at block midpoints."""
@@ -372,7 +373,7 @@ def _prepare_solve(cfg, sysm, horizon, args):
             y = solve_ivp_shifted(sysm, y0, forcing).coeffs
         else:
             y = solve(sysm, forcing).coeffs
-        return [("t", times), ("y", y)], check and check(y)
+        return [("t", times), ("y", y)], check and check(y), None
 
     return run
 
@@ -398,7 +399,12 @@ def _prepare_stoch(cfg, sysm, horizon, args):
         r = propagate_moments(sysm, basis, forcing)
         variance = np.array([v for _, v in variance_series(r, times)])
         columns = [("t", times), ("mean", r.mean.coeffs), ("variance", variance)]
-        return columns, check and check(variance, r.mean.coeffs, forcing)
+        diagnostics = {
+            "covariance_rank": forcing.rank,
+            "rank_rtol": _rank_rtol(basis.n_funcs),
+            "cubature_nodes": math.prod(p.quad_order for p in sysm.random_params),
+        }
+        return columns, check and check(variance, r.mean.coeffs, forcing), diagnostics
 
     return run
 
@@ -416,7 +422,7 @@ def _prepare_mc(cfg, sysm, horizon, args):
         r = oracles.mc_moments(sysm, forcing, horizon, args.n_grid,
                                args.samples, args.seed, halton=args.halton)
         return [("t", r.times), ("mean", r.mean), ("variance", r.variance),
-                ("mean_stderr", r.se_mean), ("variance_stderr", r.se_variance)], None
+                ("mean_stderr", r.se_mean), ("variance_stderr", r.se_variance)], None, None
 
     return run
 
@@ -444,7 +450,7 @@ def _run(args):
     except Exception as e:
         return _fail(1, e)
     try:
-        columns, verdict = run()
+        columns, verdict, diagnostics = run()
     except Exception as e:
         return _fail(2, e)
 
@@ -454,6 +460,8 @@ def _run(args):
     resolved = {"horizon": horizon, "output": output}
     flags = {k: resolved.get(k, getattr(args, k)) for k in args.flags}
     manifest = _base_manifest(args.command, args.config, cfg, sysm, flags)
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     if report is not None:
         manifest["verify"] = report
     _write_outputs(output, [name for name, _ in columns],

@@ -13,6 +13,13 @@ coefficients they are evaluated by full tensor Gauss cubature over the
 parameters (stochastic collocation): assemble A_G at every node and sum
 the per-node vectors with the probability weights in one weighted sum,
 so node ordering moves results only at roundoff.
+
+The input covariance is factored once, C_kUU = F F^T, when the forcing
+is built.  A diagonal covariance (white noise) is its own factor; any
+other is factored by a symmetric eigendecomposition truncated to the
+eigenvalues above n * eps * lambda_max (numpy's `matrix_rank` rule),
+F = V_r sqrt(Lambda_r).  Then diag(A_G C_kUU A_G^T) = rowsum((A_G F)^2),
+a sum of squares, so the variance is non-negative by construction.
 """
 
 import logging
@@ -40,29 +47,55 @@ _SYM_RTOL = 1e-10
 _PSD_RTOL = 1e-8
 
 
-def _check_covariance(c, what, spectrum=False):
-    m = np.abs(c).max()
-    floor = m if m > 0 else 1.0
-    skew = np.abs(c - c.T).max()
-    if skew > _SYM_RTOL * floor:
-        raise ValueError(f"{what} covariance is not symmetric: "
-                         f"max |C - C^T| = {skew:.3e} vs scale {m:.3e}")
+def _rank_rtol(n):
+    """Relative eigenvalue cut of the covariance factor: numpy's matrix_rank rule."""
+    return n * np.finfo(float).eps
+
+
+def _factor_covariance(c):
+    """Check C and factor it: 1-D d with C = diag(d), or F with C ~ F F^T.
+
+    Eigenvalues at or below _rank_rtol(n) * lambda_max are dropped.  A
+    diagonal C is symmetric and has its diagonal as its eigenvalues, so
+    it is checked in O(N) and returned as that (truncated) diagonal.
+    """
+    n = c.shape[0]
     d = np.diag(c)
+    diagonal = np.count_nonzero(c) == np.count_nonzero(d)
+    m = np.abs(d if diagonal else c).max()
+    floor = m if m > 0 else 1.0
+    if not diagonal:
+        skew = np.abs(c - c.T).max()
+        if skew > _SYM_RTOL * floor:
+            raise ValueError(f"input covariance is not symmetric: "
+                             f"max |C - C^T| = {skew:.3e} vs scale {m:.3e}")
     if d.min() < -_PSD_RTOL * floor:
-        raise ValueError(f"{what} covariance has negative diagonal entries "
+        raise ValueError(f"input covariance has negative diagonal entries "
                          f"beyond tolerance: min {d.min():.3e} vs scale {m:.3e}")
-    if spectrum:
-        # block averaging preserves positive semidefiniteness exactly, so a
-        # clearly negative eigenvalue means the kernel itself is indefinite
-        lo = np.linalg.eigvalsh(0.5 * (c + c.T)).min()
-        if lo < -_PSD_RTOL * floor:
-            raise ValueError(f"{what} covariance is not positive semidefinite: "
-                             f"min eigenvalue {lo:.3e} vs scale {m:.3e}")
+    if diagonal:
+        return np.where(d > _rank_rtol(n) * max(d.max(), 0.0), d, 0.0)
+    # block averaging preserves positive semidefiniteness exactly, so a
+    # clearly negative eigenvalue means the kernel itself is indefinite.
+    # The symmetric part has the same quadratic form as C.
+    lam, v = np.linalg.eigh(0.5 * (c + c.T))
+    if lam[0] < -_PSD_RTOL * floor:
+        raise ValueError(f"input covariance is not positive semidefinite: "
+                         f"min eigenvalue {lam[0]:.3e} vs scale {m:.3e}")
+    keep = lam > _rank_rtol(n) * lam[-1]
+    return v[:, keep] * np.sqrt(lam[keep])
 
 
 @dataclass(frozen=True, eq=False)
 class StochasticForcing:
-    """Input mean and covariance in spectral form."""
+    """Input mean and covariance in spectral form.
+
+    The covariance is checked (symmetric, positive semidefinite) and
+    factored once here, C = F F^T, keeping the eigenvalues above
+    n * eps * lambda_max; `rank` is the number kept.  A diagonal
+    covariance is its own factor.  The forcing makes the covariance
+    array it holds read-only (a view is copied first), so the factor
+    cannot go stale.
+    """
 
     mean: SpectralVector
     covariance: SpectralMatrix
@@ -70,7 +103,18 @@ class StochasticForcing:
     def __post_init__(self):
         if self.mean.basis != self.covariance.basis:
             raise ValueError("mean and covariance live on different bases")
-        _check_covariance(self.covariance.coeffs, "input", spectrum=True)
+        c = self.covariance.coeffs
+        if not c.flags.owndata:
+            c = c.copy()
+            object.__setattr__(self, "covariance", SpectralMatrix(self.covariance.basis, c))
+        object.__setattr__(self, "_factor", _factor_covariance(c))
+        c.flags.writeable = False
+
+    @property
+    def rank(self):
+        """Number of factor columns (nonzero diagonal entries for a diagonal C)."""
+        f = self._factor
+        return int(np.count_nonzero(f)) if f.ndim == 1 else f.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +205,6 @@ def _assemble(sys, basis, j, node):
         raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
 
 
-def _lower_toeplitz_view(a):
-    """Read-only N x N view with entry [i, k] = a[i - k] for i >= k, else 0."""
-    n = a.shape[0]
-    padded = np.concatenate([a[::-1], np.zeros(n - 1)])
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
-
-
 def expected_operator(sys, basis, grid):
     """E[A_G] over the cubature grid, summed on first columns."""
     cols = [_assemble(sys, basis, j, node).first_col for j, node in enumerate(grid.nodes)]
@@ -178,21 +215,26 @@ def expected_sandwich(sys, basis, grid, forcing, mean_y):
     """Output variance E[diag(A_G C A_G^T) + (A_G mu - mean_y)^2] over the grid.
 
     C and mu are the forcing covariance and mean, mean_y the output mean
-    E[A_G] mu as an array.  A_G is lower-triangular Toeplitz, so A_G C is
-    one truncated convolution of its first column down the columns of C
-    (FFT, O(N^2 log N) per node), and diag(A_G C A_G^T) is the row-wise
-    product of A_G C with a strided view of A_G.  Both terms are
-    variances, so no cancelling subtraction is left to the caller.
+    E[A_G] mu as an array.  A_G is lower-triangular Toeplitz, so with
+    the forcing's factor C = F F^T the first term is rowsum((A_G F)^2):
+    one truncated FFT convolution of A_G's first column down the r
+    columns of F, O(r N log N) per node.  For a diagonal C = diag(d) it
+    is the direct convolution of a^2 with d, O(N^2).  Every term is a
+    square or a product of non-negative numbers.
     """
-    c = forcing.covariance.coeffs
+    fac = forcing._factor
     n = basis.n_funcs
     per_node = []
     for j, node in enumerate(grid.nodes):
         ag = _assemble(sys, basis, j, node)
         a = ag.first_col
-        ac = fftconvolve(a[:, None], c, axes=0)[:n]
+        if fac.ndim == 1:
+            var = np.convolve(a * a, fac)[:n]
+        else:
+            af = fftconvolve(a[:, None], fac, axes=0)[:n]
+            var = np.einsum("ik,ik->i", af, af)
         dev = opmat.apply(ag, forcing.mean).coeffs - mean_y
-        per_node.append(np.einsum("ik,ik->i", ac, _lower_toeplitz_view(a)) + dev * dev)
+        per_node.append(var + dev * dev)
     return grid.weights @ np.stack(per_node)
 
 
@@ -216,24 +258,19 @@ def propagate_moments(sys, basis, forcing, grid=None):
     """
     if forcing.mean.basis != basis:
         raise ValueError("forcing does not live on the requested basis")
-    _check_covariance(forcing.covariance.coeffs, "input")
     grid = _grid_or_trivial(sys, grid)
 
     mean_y = opmat.apply(expected_operator(sys, basis, grid), forcing.mean)
     var = expected_sandwich(sys, basis, grid, forcing, mean_y.coeffs)
-    scale = max(np.abs(var).max(), 1e-300)
-    if var.min() < -_PSD_RTOL * scale:
-        raise RuntimeError(f"output variance went negative beyond tolerance: "
-                           f"min {var.min():.3e} at scale {scale:.3e}")
     return MomentResult(mean_y, SpectralVector(basis, var))
 
 
 def variance_series(r, times):
     """Output variance at the given times.
 
-    Tiny negative values within the projection-noise tolerance are
-    clamped to zero (logged); larger violations have already been
-    rejected by propagate_moments.
+    Negative values are clamped to zero (logged).  propagate_moments
+    returns none on a grid with non-negative weights, but any
+    MomentResult is accepted here.
     """
     out = []
     clamped = 0

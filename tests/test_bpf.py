@@ -164,6 +164,13 @@ def test_white_noise_covariance():
         white_noise_covariance(b, -1.0)
 
 
+@pytest.mark.parametrize("n,q,tau", [(1, 1.0, 1.0), (7, 0.3, 2.5), (64, 1.0, 5.0),
+                                     (100, 1e-7, 1e4), (33, 0.0, 3.0)])
+def test_white_noise_covariance_bit_identical_to_scaled_eye(n, q, tau):
+    b = make_basis(n, tau)
+    assert np.array_equal(white_noise_covariance(b, q).coeffs, np.eye(n) * (q * n / tau))
+
+
 def test_spectral_container_validation():
     b = make_basis(4, 1.0)
     with pytest.raises(ValueError):

@@ -337,6 +337,27 @@ def test_stoch_quad_points_flag_in_manifest(workdir):
     assert manifest["flags"]["quad_points"] == 7
 
 
+@pytest.mark.parametrize("example,n,rank,nodes", [(4, 64, 64, 1), (5, 512, 7, 25)])
+def test_stoch_manifest_diagnostics(workdir, example, n, rank, nodes):
+    cfg = _example(example)
+    del cfg["verify"]
+    path = write_config(workdir, cfg)
+    assert main(["stoch", path, "--n-basis", str(n), "--output", "out.csv"]) == 0
+    manifest = json.loads((workdir / "out.manifest.json").read_text())
+    assert manifest["diagnostics"] == {"covariance_rank": rank,
+                                       "rank_rtol": n * np.finfo(float).eps,
+                                       "cubature_nodes": nodes}
+
+
+def test_solve_and_mc_manifests_have_no_diagnostics(workdir):
+    assert main(["solve", write_config(workdir, INTEGRATOR), "--n-basis", "8",
+                 "--output", "s.csv"]) == 0
+    assert main(["mc", write_config(workdir, WHITE_RELAX), *MC_SMALL,
+                 "--output", "m.csv"]) == 0
+    for stem in ("s", "m"):
+        assert "diagnostics" not in json.loads((workdir / f"{stem}.manifest.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # mc
 

@@ -1,13 +1,15 @@
-"""Moment propagation: cubature, expectation operators, variance, covariance checks."""
+"""Moment propagation: cubature, expectation operators, variance, covariance factor."""
 
+import json
 import logging
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
-                        project_function, white_noise_covariance)
+                        project_function, project_bivariate, white_noise_covariance)
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
                           assemble_system_operator)
@@ -16,6 +18,9 @@ from dorder.stochsolve import (StochasticForcing, MomentResult, CubatureGrid,
                                expected_operator, expected_sandwich,
                                propagate_moments, variance_series)
 from dorder.detsolve import solve
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def simple_sys(lhs_orders, rhs_coeff=1.0, params=()):
@@ -238,12 +243,30 @@ def dense_variance(sysm, b, f, grid):
     return second - mean ** 2, np.abs(second).max()
 
 
-@settings(max_examples=25, deadline=None)
+def random_covariance(kind, rng, b, rank):
+    """A PSD covariance of the given kind on basis b."""
+    n = b.n_funcs
+    if kind == "diagonal":  # non-negative, some exact zeros
+        return np.where(rng.random(n) < 0.3, 0.0, rng.random(n)) * np.eye(n)
+    if kind == "sinc":
+        width = rng.uniform(0.5, 5.0)
+        return project_bivariate(lambda t1, t2: np.sinc((t1 - t2) / width), b).coeffs
+    if kind == "exp":
+        ell = rng.uniform(0.1, 2.0)
+        return project_bivariate(lambda t1, t2: np.exp(-np.abs(t1 - t2) / ell), b).coeffs
+    g = rng.standard_normal((n, min(rank, n))) / np.sqrt(n)
+    return g @ g.T
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
-       st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.integers(1, 4), st.integers(1, 24))
-def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank):
-    # exact in exact arithmetic; the dense reference subtracts mean^2 from
-    # the second moment, so the tolerance is relative to the second moment
+       st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.integers(1, 4), st.integers(1, 24),
+       st.sampled_from(["lowrank", "diagonal", "sinc", "exp"]))
+def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank, kind):
+    # exact in exact arithmetic up to the factor's eigenvalue cut; the dense
+    # reference subtracts mean^2 from the second moment, so the tolerance is
+    # relative to the second moment.  "diagonal" takes the diagonal path,
+    # "sinc" and "exp" the truncated eigendecomposition.
     rng = np.random.default_rng(seed)
     b = make_basis(n, 2.0)
     sysm = DOSystem(
@@ -252,11 +275,52 @@ def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank):
         (DensityTerm("rhs", "derivative", "g", "point", order=0.0),),
         (RandomParameter("k", "uniform", lo=0.2, hi=1.0, quad_order=q),
          RandomParameter("g", "gaussian", mean=1.0, stddev=0.3, quad_order=2)))
-    g = rng.standard_normal((n, min(rank, n))) / np.sqrt(n)
     f = StochasticForcing(SpectralVector(b, rng.standard_normal(n)),
-                          SpectralMatrix(b, g @ g.T))
+                          SpectralMatrix(b, random_covariance(kind, rng, b, rank)))
     grid = tensor_cubature(sysm.random_params)
     var = propagate_moments(sysm, b, f, grid).variance.coeffs
     ref, scale = dense_variance(sysm, b, f, grid)
     assert np.max(np.abs(var - ref)) <= 1e-12 * scale
     assert np.all(var >= 0.0)
+
+
+def ex5_sinc_covariance(n):
+    with open(os.path.join(CONFIGS, "example5.json")) as fh:
+        cfg = json.load(fh)
+    spec = cfg["forcing"]["covariance"]
+    kernel = lambda t1, t2: spec["variance"] * np.sinc((t1 - t2) / spec["width"])
+    return project_bivariate(kernel, make_basis(n, cfg["horizon"]))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_sinc_factor_rank_and_residual(n):
+    c = ex5_sinc_covariance(n)
+    f = StochasticForcing(zero_mean(c.basis), c)
+    fac = f._factor
+    assert f.rank == 7 and fac.shape == (n, 7)
+    scale = np.abs(c.coeffs).max()
+    assert np.abs(fac @ fac.T - c.coeffs).max() <= 1e-12 * scale
+
+
+def test_white_noise_factor_is_its_diagonal():
+    b = make_basis(16, 2.0)
+    c = white_noise_covariance(b, 0.7)
+    f = StochasticForcing(zero_mean(b), c)
+    assert f.rank == 16
+    assert np.array_equal(f._factor, np.diag(c.coeffs))
+    zero = StochasticForcing(zero_mean(b), SpectralMatrix(b, np.zeros((16, 16))))
+    assert zero.rank == 0
+
+
+def test_forcing_covariance_read_only():
+    b = make_basis(8, 1.0)
+    f = StochasticForcing(zero_mean(b), white_noise_covariance(b, 1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        f.covariance.coeffs[0, 0] = 2.0
+    # a view is copied, so writing through its base cannot stale the factor
+    base = np.eye(8)
+    g = StochasticForcing(zero_mean(b), SpectralMatrix(b, base.T))
+    base[0, 0] = 5.0
+    assert g.covariance.coeffs[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.covariance.coeffs[0, 0] = 2.0
