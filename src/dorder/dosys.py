@@ -246,25 +246,56 @@ def term_operator(term, basis, param_values=None):
     return opmat.OpMatrix(basis, col)
 
 
+def _term_columns(terms, basis):
+    """(term, first column) per term, a random coefficient set to 1.
+
+    Random parameters bind coefficients, never orders, so these columns
+    are the same at every parameter value.  Setting the coefficient to 1
+    is exact: 0 + 1*x and x*1 round to x, and c*(1*x) to c*x, so
+    _bind_side reproduces term_operator's columns bit for bit.
+    """
+    return tuple(
+        (t, term_operator(t, basis, {t.coeff: 1.0} if isinstance(t.coeff, str) else None)
+         .first_col)
+        for t in terms)
+
+
+def _bind_side(columns, n, param_values):
+    """Sum of one side's term columns at the given parameter values, in term order."""
+    out = np.zeros(n)
+    for t, col in columns:
+        out += _resolve_coeff(t, param_values) * col if isinstance(t.coeff, str) else col
+    return out
+
+
+def _system_columns(sys, basis):
+    """Coefficient-free term columns of both sides: build once, bind per node."""
+    return _term_columns(sys.lhs_terms, basis), _term_columns(sys.rhs_terms, basis)
+
+
+def _bind(columns, basis, param_values):
+    """A_G = [sum LHS]^(-1) [sum RHS] from _system_columns: one inversion."""
+    lhs_cols, rhs_cols = columns
+    n = basis.n_funcs
+    lhs = _bind_side(lhs_cols, n, param_values)
+    if lhs[0] == 0.0:
+        raise ValueError(
+            f"singular LHS while assembling system with terms "
+            f"{tuple(t for t, _ in lhs_cols)}: leading first-column entry is zero")
+    rhs = _bind_side(rhs_cols, n, param_values)
+    inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS"))
+    return opmat.OpMatrix(basis, np.convolve(inv.first_col, rhs)[:n], label="A_G")
+
+
 def assemble_system_operator(sys, basis, param_values=None):
     """Assembled operator A_G = [sum LHS]^(-1) [sum RHS].
 
     Every random coefficient must be bound in param_values; fully
-    deterministic systems may pass None.
+    deterministic systems may pass None.  Callers that assemble at many
+    parameter values (stochsolve) build the term columns once and bind
+    them per value, through the same two helpers.
     """
-    lhs = np.zeros(basis.n_funcs)
-    for t in sys.lhs_terms:
-        lhs += term_operator(t, basis, param_values).first_col
-    if lhs[0] == 0.0:
-        raise ValueError(
-            f"singular LHS while assembling system with terms {sys.lhs_terms}: "
-            "leading first-column entry is zero")
-    rhs = np.zeros(basis.n_funcs)
-    for t in sys.rhs_terms:
-        rhs += term_operator(t, basis, param_values).first_col
-    inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS"))
-    return opmat.OpMatrix(basis, np.convolve(inv.first_col, rhs)[:basis.n_funcs],
-                          label="A_G")
+    return _bind(_system_columns(sys, basis), basis, param_values)
 
 
 # ---------------------------------------------------------------------------

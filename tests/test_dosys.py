@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import make_basis
-from dorder.opmat import (integration_matrix, derivative_matrix,
-                          identity_matrix, compose, to_dense)
+from dorder.opmat import (OpMatrix, integration_matrix, derivative_matrix,
+                          invert_lower_toeplitz, identity_matrix, compose, to_dense)
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
                           density_quadrature, term_operator,
                           assemble_system_operator, system_from_dict,
-                          system_to_dict)
+                          system_to_dict, _bind, _system_columns)
+from dorder.stochsolve import tensor_cubature
 
 
 def lhs_point(coeff, order, sense="derivative"):
@@ -178,6 +180,69 @@ def test_assemble_binds_parameters():
     assert np.allclose(to_dense(ag), np.eye(8) / 2.0, atol=1e-16)
     with pytest.raises(ValueError, match="'k'"):
         assemble_system_operator(sysm, b)
+
+
+def term_by_term(sysm, b, values):
+    """A_G first column with every term operator rebuilt at these values."""
+    n = b.n_funcs
+    lhs = np.zeros(n)
+    for t in sysm.lhs_terms:
+        lhs += term_operator(t, b, values).first_col
+    rhs = np.zeros(n)
+    for t in sysm.rhs_terms:
+        rhs += term_operator(t, b, values).first_col
+    inv = invert_lower_toeplitz(OpMatrix(b, lhs))
+    return np.convolve(inv.first_col, rhs)[:n]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ValueError, RuntimeError) as e:
+        return type(e)
+
+
+@st.composite
+def random_terms(draw, side):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        sense = draw(st.sampled_from(["derivative", "integral"]))
+        coeff = draw(st.one_of(st.sampled_from(["a", "g"]),
+                               st.floats(-3.0, 3.0).filter(lambda c: c != 0.0)))
+        if draw(st.booleans()):
+            order = draw(st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.05, 1.95)))
+            terms.append(DensityTerm(side, sense, coeff, "point", order=order))
+        else:
+            lo = draw(st.floats(0.0, 1.5))
+            hi = lo + draw(st.floats(0.05, 0.5))
+            density = draw(st.sampled_from([None, {"form": "poly", "coeffs": [0.5, 1.0]}]))
+            terms.append(DensityTerm(side, sense, coeff, "distributed", lower=lo, upper=hi,
+                                     density=density, quad_points=draw(st.integers(1, 4))))
+    return tuple(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_terms("lhs"), random_terms("rhs"), st.integers(1, 24),
+       st.floats(0.5, 4.0), st.integers(1, 3), st.integers(1, 3))
+def test_bound_columns_match_term_by_term_assembly(lhs, rhs, n, horizon, qa, qg):
+    # term columns built once and bound at every cubature node must equal
+    # the assembly that rebuilds each term operator at that node, bit for bit
+    b = make_basis(n, horizon)
+    sysm = DOSystem(lhs, rhs, (RandomParameter("a", "uniform", lo=0.5, hi=2.0, quad_order=qa),
+                               RandomParameter("g", "gaussian", mean=1.0, stddev=0.4,
+                                               quad_order=qg)))
+    columns = outcome(lambda: _system_columns(sysm, b))
+    for node in tensor_cubature(sysm.random_params).nodes:
+        ref = outcome(lambda: term_by_term(sysm, b, node))
+        if isinstance(columns, type):  # a term operator itself failed
+            assert columns is ref
+            continue
+        got = outcome(lambda: _bind(columns, b, node).first_col)
+        one_shot = outcome(lambda: assemble_system_operator(sysm, b, node).first_col)
+        if isinstance(ref, type):
+            assert got is ref and one_shot is ref
+        else:
+            assert np.array_equal(got, ref) and np.array_equal(one_shot, ref)
 
 
 # ---------------------------------------------------------------------------

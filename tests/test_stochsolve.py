@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
                         project_function, project_bivariate, white_noise_covariance)
+from dorder import opmat
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
-                          assemble_system_operator)
+                          assemble_system_operator, system_from_dict, term_operator)
 from dorder.stochsolve import (StochasticForcing, MomentResult, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
                                expected_operator, expected_sandwich,
@@ -159,6 +160,36 @@ def test_expected_sandwich_node_failure_names_node():
     # middle node sits at k=0: singular LHS
     with pytest.raises(ValueError, match="node 1"):
         expected_operator(sysm, b, grid)
+    f = StochasticForcing(zero_mean(b), white_noise_covariance(b, 1.0))
+    with pytest.raises(ValueError, match="node 1"):
+        propagate_moments(sysm, b, f, grid)
+
+
+def test_one_inversion_per_node(monkeypatch):
+    # ex5's term operators are built once per call: B_1 for the order-2
+    # composition and one B_alpha per order-quadrature point (3); then each
+    # cubature node inverts only its own LHS
+    with open(os.path.join(CONFIGS, "example5.json")) as fh:
+        sysm = system_from_dict(json.load(fh))
+    b = make_basis(32, 5.0)
+    calls = []
+    invert = opmat.invert_lower_toeplitz
+
+    def counting(m):
+        calls.append(m.label)
+        return invert(m)
+
+    monkeypatch.setattr(opmat, "invert_lower_toeplitz", counting)
+    for t in sysm.lhs_terms + sysm.rhs_terms:
+        term_operator(t, b, {t.coeff: 1.0} if isinstance(t.coeff, str) else None)
+    setup = len(calls)
+    assert setup == 4
+    calls.clear()
+    grid = tensor_cubature(sysm.random_params)
+    f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
+    propagate_moments(sysm, b, f, grid)
+    assert len(calls) == len(grid) + setup
+    assert calls.count("LHS") == len(grid)
 
 
 # ---------------------------------------------------------------------------
