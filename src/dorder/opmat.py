@@ -117,6 +117,14 @@ def invert_lower_toeplitz(m):
 
     Forward recurrence: g_0 = 1/f_0, g_k = -(1/f_0) sum_{j=1..k} f_j g_{k-j}.
     Cost O(N^2); exact division structure, no pivoting.
+
+    The sum pairs f_1..f_k with g_{k-1}..g_0, i.e. g read backwards.  A
+    negative-stride view of g would be copied before every BLAS dot, so
+    the column is built in reverse (rev[N-1-k] = g_k), each step is a
+    dot of two contiguous slices, and it is flipped once at the end.
+    The products, their order, the dot length and the final division
+    are those of the plain recurrence on a reversed view of g, so the
+    column matches it bit for bit.
     """
     f = m.first_col
     if f[0] == 0.0:
@@ -124,10 +132,11 @@ def invert_lower_toeplitz(m):
                          "leading first-column entry is zero")
     n = f.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.zeros(n)
-        g[0] = 1.0 / f[0]
+        rev = np.zeros(n)
+        rev[n - 1] = 1.0 / f[0]
         for k in range(1, n):
-            g[k] = -np.dot(f[1:k + 1], g[k - 1::-1]) / f[0]
+            rev[n - 1 - k] = -np.dot(f[1:k + 1], rev[n - k:]) / f[0]
+    g = rev[::-1].copy()
     if not np.isfinite(g).all():
         raise RuntimeError(
             f"inverse of {m.label or '(unlabeled)'} overflowed double precision "

@@ -1,14 +1,23 @@
 """Operational matrices on the lower-triangular Toeplitz ring."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import make_basis, SpectralVector
+from dorder.dosys import system_from_dict, term_operator
+from dorder.stochsolve import tensor_cubature
 from dorder.opmat import (OpMatrix, gamma_fn, integration_matrix,
                           derivative_matrix, identity_matrix,
                           invert_lower_toeplitz, apply, compose, add, scale,
                           to_dense)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def ring_product_col(a, b):
@@ -90,6 +99,93 @@ def test_invert_matches_dense_inverse(n, seed):
     m = OpMatrix(b, col)
     inv = invert_lower_toeplitz(m)
     assert np.allclose(to_dense(inv), np.linalg.inv(to_dense(m)), rtol=1e-9, atol=1e-9)
+
+
+def negative_stride_inverse(f):
+    # the plain forward recurrence, dotting against a reversed view of g
+    n = f.size
+    g = np.zeros(n)
+    g[0] = 1.0 / f[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            g[k] = -np.dot(f[1:k + 1], g[k - 1::-1]) / f[0]
+    return g
+
+
+def assert_matches_plain_recurrence(m):
+    old = negative_stride_inverse(m.first_col)
+    if np.isfinite(old).all():
+        assert np.array_equal(invert_lower_toeplitz(m).first_col, old)
+    else:
+        with pytest.raises(RuntimeError, match="overflow"):
+            invert_lower_toeplitz(m)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+def test_invert_bit_identical_to_plain_recurrence_random(n, seed):
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(n)
+    col[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+    assert_matches_plain_recurrence(OpMatrix(make_basis(n, 1.0), col))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 64),
+       st.floats(0.0, 2.0, exclude_min=True, allow_nan=False),
+       st.floats(0.1, 20.0, allow_nan=False))
+def test_invert_bit_identical_to_plain_recurrence_integration(n, alpha, horizon):
+    # alpha > 1 includes inverse columns that grow geometrically
+    assert_matches_plain_recurrence(integration_matrix(alpha, make_basis(n, horizon)))
+
+
+def test_invert_single_block():
+    b = make_basis(1, 2.0)
+    inv = invert_lower_toeplitz(OpMatrix(b, np.array([4.0])))
+    assert np.array_equal(inv.first_col, np.array([0.25]))
+    with pytest.raises(ValueError, match="singular"):
+        invert_lower_toeplitz(OpMatrix(b, np.array([0.0])))
+
+
+def long_double_inverse(f):
+    fl = f.astype(np.longdouble)
+    g = np.zeros(f.size, dtype=np.longdouble)
+    g[0] = 1 / fl[0]
+    for k in range(1, f.size):
+        g[k] = -np.dot(fl[1:k + 1], g[k - 1::-1]) / fl[0]
+    return g
+
+
+def config_lhs(name, n, node_index=None):
+    """A config's LHS first column, bound at one cubature node if asked."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        cfg = json.load(fh)
+    sysm = system_from_dict(cfg)
+    b = make_basis(n, cfg["horizon"])
+    node = None if node_index is None else tensor_cubature(sysm.random_params).nodes[node_index]
+    col = np.zeros(n)
+    for t in sysm.lhs_terms:
+        col += term_operator(t, b, node).first_col
+    return OpMatrix(b, col, label="LHS")
+
+
+# Measured max error relative to max|g| (x86-64 OpenBLAS, 80-bit long
+# double); each bound allows 10x headroom over its measurement.
+@pytest.mark.parametrize("build, measured, bound", [
+    # ex2's distributed relaxation: the column peaks at 68 in entry 1 and
+    # decays after it; the inverse stays below 0.031
+    (lambda: config_lhs("example2.json", 2048), 9.3e-16, 1e-14),
+    (lambda: integration_matrix(0.5, make_basis(2048, 1.0)), 5.9e-17, 6e-16),
+    # ex5's order-2 LHS grows to 1.3e6 here (8.6e7 at N=512, where the
+    # error is 2.9e-8) while its inverse stays below 0.028: the sum cancels
+    (lambda: config_lhs("example5.json", 128, node_index=0), 9.4e-11, 1e-9),
+], ids=["ex2_lhs_n2048", "A_0.5_n2048", "ex5_lhs_node0_n128"])
+def test_invert_graded_against_long_double(build, measured, bound):
+    m = build()
+    g = invert_lower_toeplitz(m).first_col
+    ref = long_double_inverse(m.first_col)
+    err = float(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
+    assert err <= bound, f"relative error {err:.2e} (measured {measured:.1e})"
 
 
 def test_apply_equals_dense_matvec():
