@@ -52,8 +52,6 @@ from .stochsolve import (
     CubatureGrid,
     parameter_quadrature,
     tensor_cubature,
-    expected_operator,
-    expected_sandwich,
     propagate_moments,
     variance_series,
 )
@@ -72,7 +70,7 @@ __all__ = [
     "system_from_dict", "system_to_dict",
     "solve", "solve_ivp_shifted", "impulse_response",
     "StochasticForcing", "MomentResult", "CubatureGrid",
-    "parameter_quadrature", "tensor_cubature", "expected_operator",
-    "expected_sandwich", "propagate_moments", "variance_series",
+    "parameter_quadrature", "tensor_cubature", "propagate_moments",
+    "variance_series",
     "oracles",
 ]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bpf import SpectralVector, delta_spectral
 from . import opmat
-from .dosys import _bind_side, _term_columns, assemble_system_operator
+from .dosys import _bind_side, _integral_shift, _term_columns, assemble_system_operator
 # not called here; kept bound so perfbench's tracer finds it by name
 from .dosys import term_operator  # noqa: F401
 
@@ -53,7 +53,10 @@ def solve_ivp_shifted(sys, y0, forcing):
         LHS(x) = b * forcing - c * y0,   x(0) = 0,
 
     which the zero-initial-condition machinery solves directly; the
-    returned coefficients are those of y = x + y0.
+    returned coefficients are those of y = x + y0.  Like assembly it
+    works in integral form: the LHS columns are those of
+    assemble_system_operator and the right-hand side is multiplied by
+    the same A_gamma, so the solve inverts one O(1) column.
 
     Parameters
     ----------
@@ -87,9 +90,13 @@ def solve_ivp_shifted(sys, y0, forcing):
             f"shifted solve needs an identity RHS term, got {rt.kind} of order {rt.order!r}")
     b = rt.coeff
 
-    lhs_col = _bind_side(_term_columns(sys.lhs_terms, basis), basis.n_funcs, None)
+    # integral form, as in assembly: both sides multiplied by A_shift
+    n = basis.n_funcs
+    shift = _integral_shift(sys)
+    lhs_col = _bind_side(_term_columns(sys.lhs_terms, basis, shift), n, None)
     inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs_col, label="LHS"))
 
-    shifted = b * forcing.coeffs - c * y0 * np.ones(basis.n_funcs)
-    x = np.convolve(inv.first_col, shifted)[:basis.n_funcs]
+    shifted = b * forcing.coeffs - c * y0 * np.ones(n)
+    shifted = np.convolve(opmat.integration_matrix(shift, basis).first_col, shifted)[:n]
+    x = np.convolve(inv.first_col, shifted)[:n]
     return SpectralVector(basis, x + y0)

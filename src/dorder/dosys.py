@@ -10,16 +10,25 @@ kind).  Distributed terms are collapsed to multi-term form by
 Gauss-Legendre quadrature in the order variable; the assembled system
 operator is [sum LHS]^(-1) [sum RHS] on the Toeplitz ring.
 
+Assembly works in integral form: both sides are multiplied by A_gamma,
+gamma the largest derivative order on either side after the order
+quadrature (0 if there is none).  A derivative term c D^alpha becomes
+c A_(gamma - alpha) and an integral term c I^beta becomes
+c A_(gamma + beta), each built directly as an integration matrix.  So
+every order, whole or fractional, below or above 1, takes the same
+path, the only inversion is that of the summed LHS column, and that
+column stays O(1) where a derivative-form column B_alpha = A_alpha^(-1)
+grows geometrically for alpha > 1.
+
 Coefficients may be bound to named random parameters; assembly then
 takes a name -> value map, which is how stochastic collocation visits
 cubature nodes.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .bpf import BpfBasis
 from . import opmat
 
 __all__ = [
@@ -211,42 +220,40 @@ def density_quadrature(term, param_values=None):
     return list(zip(nodes.tolist(), weights.tolist()))
 
 
-def _order_operator(alpha, sense, basis):
-    """Single-order operator: A_alpha or B_alpha, identity at order 0."""
-    if alpha == 0:
-        return opmat.identity_matrix(basis)
-    if sense == "integral":
-        return opmat.integration_matrix(alpha, basis)
-    # whole orders >= 2 are built by composing first-order derivative
-    # blocks, keeping the ill-conditioned direct inverses above order 1
-    # out of the construction
-    if float(alpha).is_integer() and alpha >= 2:
-        b1 = opmat.derivative_matrix(1.0, basis)
-        m = b1
-        for _ in range(int(alpha) - 1):
-            m = opmat.compose(m, b1)
-        return m
-    return opmat.derivative_matrix(alpha, basis)
+def term_operator(term, basis, param_values=None, shift=0.0):
+    """Operational matrix of one term in integral form, coefficient included.
 
-
-def term_operator(term, basis, param_values=None):
-    """Operational matrix of one term, coefficient included.
-
-    Point terms carry the coefficient inside the quadrature pair;
-    distributed terms multiply the quadrature-weighted sum by the
-    resolved coefficient.
+    The system is multiplied through by A_shift, so each quadrature
+    order alpha becomes the integration matrix A_(shift - alpha) for a
+    derivative term and A_(shift + alpha) for an integral term; no
+    column is ever inverted here.  shift must be at least every
+    derivative order of the term, or integration_matrix rejects the
+    negative order (the default 0 suits integral and order-0 terms).  Point terms carry the coefficient inside the
+    quadrature pair; distributed terms multiply the quadrature-weighted
+    sum by the resolved coefficient.
     """
     pairs = density_quadrature(term, param_values)
-    n = basis.n_funcs
-    col = np.zeros(n)
+    sign = -1.0 if term.sense == "derivative" else 1.0
+    col = np.zeros(basis.n_funcs)
     for alpha, w in pairs:
-        col += w * _order_operator(alpha, term.sense, basis).first_col
+        col += w * opmat.integration_matrix(shift + sign * alpha, basis).first_col
     if term.kind == "distributed":
         col *= _resolve_coeff(term, param_values)
     return opmat.OpMatrix(basis, col)
 
 
-def _term_columns(terms, basis):
+def _unit_values(term):
+    """Parameter values binding a random coefficient to 1; None for a numeric one."""
+    return {term.coeff: 1.0} if isinstance(term.coeff, str) else None
+
+
+def _integral_shift(sys):
+    """Largest derivative order after the order quadrature, both sides; 0 if none."""
+    return max((alpha for t in sys.lhs_terms + sys.rhs_terms if t.sense == "derivative"
+                for alpha, _ in density_quadrature(t, _unit_values(t))), default=0.0)
+
+
+def _term_columns(terms, basis, shift):
     """(term, first column) per term, a random coefficient set to 1.
 
     Random parameters bind coefficients, never orders, so these columns
@@ -254,10 +261,8 @@ def _term_columns(terms, basis):
     is exact: 0 + 1*x and x*1 round to x, and c*(1*x) to c*x, so
     _bind_side reproduces term_operator's columns bit for bit.
     """
-    return tuple(
-        (t, term_operator(t, basis, {t.coeff: 1.0} if isinstance(t.coeff, str) else None)
-         .first_col)
-        for t in terms)
+    return tuple((t, term_operator(t, basis, _unit_values(t), shift).first_col)
+                 for t in terms)
 
 
 def _bind_side(columns, n, param_values):
@@ -269,8 +274,14 @@ def _bind_side(columns, n, param_values):
 
 
 def _system_columns(sys, basis):
-    """Coefficient-free term columns of both sides: build once, bind per node."""
-    return _term_columns(sys.lhs_terms, basis), _term_columns(sys.rhs_terms, basis)
+    """Coefficient-free term columns of both sides: build once, bind per node.
+
+    Both sides are multiplied through by A_shift with the shift of
+    _integral_shift, so every column is an integration matrix.
+    """
+    shift = _integral_shift(sys)
+    return (_term_columns(sys.lhs_terms, basis, shift),
+            _term_columns(sys.rhs_terms, basis, shift))
 
 
 def _bind(columns, basis, param_values):

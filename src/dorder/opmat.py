@@ -2,7 +2,8 @@
 
 On the block pulse basis the fractional integral of order alpha acts
 on coefficient vectors as a lower-triangular Toeplitz matrix A_alpha;
-the derivative operator B_alpha is its inverse.  Lower-triangular
+the derivative operator B_alpha is its inverse (system assembly never
+builds it, see dosys).  Lower-triangular
 Toeplitz matrices over a fixed basis form a commutative ring, so every
 matrix here is stored by its first column only and all algebra
 (products, sums, inverses) happens on first columns.
@@ -96,6 +97,8 @@ def derivative_matrix(alpha, basis):
     matrix.  The inverse column grows geometrically once alpha exceeds
     1 and overflows double precision for large N; the non-finite guard
     in OpMatrix turns that into a loud failure instead of garbage.
+    System assembly does not use it: dosys builds every term in
+    integral form, as integration matrices only.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"derivative order must be >= 0, got {alpha!r}")

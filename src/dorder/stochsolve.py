@@ -15,7 +15,7 @@ the per-node vectors with the probability weights in one weighted sum,
 so node ordering moves results only at roundoff.
 
 Random parameters bind coefficients, never orders, so every term's
-order operator is built once per propagate_moments call.  Each node
+integral-form column is built once per propagate_moments call.  Each node
 then costs one O(N^2) Toeplitz inversion of its LHS plus the variance
 convolution, in one pass that yields both moments.
 
@@ -42,8 +42,8 @@ from .dosys import assemble_system_operator  # noqa: F401
 
 __all__ = [
     "StochasticForcing", "MomentResult", "CubatureGrid",
-    "parameter_quadrature", "tensor_cubature", "expected_operator",
-    "expected_sandwich", "propagate_moments", "variance_series",
+    "parameter_quadrature", "tensor_cubature", "propagate_moments",
+    "variance_series",
 ]
 
 log = logging.getLogger(__name__)
@@ -205,17 +205,6 @@ def _grid_or_trivial(sys, grid):
     return CubatureGrid(({},), np.array([1.0]))
 
 
-def _node_operators(sys, basis, grid):
-    """A_G's first column at each node: term columns built once, bound per node."""
-    columns = _system_columns(sys, basis)
-    for j, node in enumerate(grid.nodes):
-        try:
-            ag = _bind(columns, basis, node)
-        except (ValueError, RuntimeError) as e:
-            raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
-        yield ag.first_col
-
-
 def _node_moments(sys, basis, grid, forcing):
     """Per-node A_j first columns, A_j mu and diag(A_j C A_j^T), stacked by node.
 
@@ -226,11 +215,16 @@ def _node_moments(sys, basis, grid, forcing):
     convolution of a^2 with d, O(N^2).  Both are sums of squares or of
     non-negative products.
     """
+    columns = _system_columns(sys, basis)
     fac = forcing._factor
     mu = forcing.mean.coeffs
     n = basis.n_funcs
     cols, a_mu, var = [], [], []
-    for a in _node_operators(sys, basis, grid):
+    for j, node in enumerate(grid.nodes):
+        try:
+            a = _bind(columns, basis, node).first_col
+        except (ValueError, RuntimeError) as e:
+            raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
         cols.append(a)
         a_mu.append(np.convolve(a, mu)[:n])
         if fac.ndim == 1:
@@ -239,29 +233,6 @@ def _node_moments(sys, basis, grid, forcing):
             af = fftconvolve(a[:, None], fac, axes=0)[:n]
             var.append(np.einsum("ik,ik->i", af, af))
     return np.stack(cols), np.stack(a_mu), np.stack(var)
-
-
-def _centred_variance(weights, a_mu, var, mean_y):
-    """sum_j w_j [var_j + (A_j mu - mean_y)^2], each term non-negative."""
-    dev = a_mu - mean_y
-    return weights @ (var + dev * dev)
-
-
-def expected_operator(sys, basis, grid):
-    """E[A_G] over the cubature grid, summed on first columns."""
-    cols = np.stack(list(_node_operators(sys, basis, grid)))
-    return opmat.OpMatrix(basis, grid.weights @ cols, label="E[A_G]")
-
-
-def expected_sandwich(sys, basis, grid, forcing, mean_y):
-    """Output variance E[diag(A_G C A_G^T) + (A_G mu - mean_y)^2] over the grid.
-
-    C and mu are the forcing covariance and mean, mean_y the output mean
-    E[A_G] mu as an array.  propagate_moments computes the same sum in
-    the pass that also yields E[A_G].
-    """
-    _, a_mu, var = _node_moments(sys, basis, grid, forcing)
-    return _centred_variance(grid.weights, a_mu, var, mean_y)
 
 
 def propagate_moments(sys, basis, forcing, grid=None):
@@ -294,7 +265,9 @@ def propagate_moments(sys, basis, forcing, grid=None):
     cols, a_mu, var = _node_moments(sys, basis, grid, forcing)
     expected = opmat.OpMatrix(basis, grid.weights @ cols, label="E[A_G]")
     mean_y = opmat.apply(expected, forcing.mean)
-    var = _centred_variance(grid.weights, a_mu, var, mean_y.coeffs)
+    # centred form: every term is non-negative, so nothing cancels
+    dev = a_mu - mean_y.coeffs
+    var = grid.weights @ (var + dev * dev)
     return MomentResult(mean_y, SpectralVector(basis, var))
 
 

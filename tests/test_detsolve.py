@@ -1,11 +1,18 @@
 """Deterministic responses: superposition, causality, shifted IVPs."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from dorder.bpf import make_basis, SpectralVector, delta_spectral, project_function
-from dorder.dosys import DensityTerm, RandomParameter, DOSystem
+from dorder.dosys import DensityTerm, RandomParameter, DOSystem, system_from_dict
 from dorder.detsolve import solve, impulse_response, solve_ivp_shifted
+from dorder import opmat, oracles
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def make_sys(lhs, rhs, params=()):
@@ -62,6 +69,32 @@ def test_causality():
     assert not np.allclose(y1[20:], y2[20:])
 
 
+# Max abs error on the block coefficients at N = 64 / 256 / 1024, horizon 5
+# (measured); each bound is about 10x the N=1024 figure.  Orders in (1, 2)
+# are the ones whose derivative matrix overflows at these sizes.
+@pytest.mark.parametrize("alpha, measured, bound", [
+    (1.5, (7.3e-4, 9.5e-5, 1.2e-5), 1.2e-4),
+    (1.8, (6.4e-4, 4.0e-5, 2.9e-6), 3e-5),
+    (2.0, (1.3e-3, 8.1e-5, 5.0e-6), 5e-5),
+    (3.0, (4.0e-3, 2.5e-4, 1.6e-5), 1.6e-4),
+])
+def test_step_response_vs_mittag_leffler(alpha, measured, bound):
+    # D^alpha y + y = 1 from rest: y = t^alpha E_(alpha, alpha+1)(-t^alpha)
+    sysm = make_sys(
+        [DensityTerm("lhs", "derivative", 1.0, "point", order=alpha),
+         DensityTerm("lhs", "derivative", 1.0, "point", order=0.0)],
+        [DensityTerm("rhs", "derivative", 1.0, "point", order=0.0)])
+    errs = []
+    for n in (64, 256, 1024):
+        b = make_basis(n, 5.0)
+        y = solve(sysm, project_function(lambda t: np.ones_like(t), b)).coeffs
+        ref = [t ** alpha * oracles.mittag_leffler(alpha, alpha + 1.0, -t ** alpha)
+               for t in b.midpoints()]
+        errs.append(float(np.max(np.abs(y - ref))))
+    assert errs[0] > errs[1] > errs[2], f"errors {errs} (measured {measured})"
+    assert errs[2] <= bound, f"errors {errs} (measured {measured})"
+
+
 def test_random_system_needs_moment_path():
     b = make_basis(8, 1.0)
     sysm = make_sys(
@@ -106,6 +139,20 @@ def test_ivp_zero_initial_equals_plain_solve():
     u = project_function(np.cos, b)
     assert np.allclose(solve_ivp_shifted(sysm, 0.0, u).coeffs,
                        solve(sysm, u).coeffs, atol=1e-12)
+
+
+def test_ivp_inverts_one_column(monkeypatch):
+    # ex2's distributed relaxation: no inversion per order-quadrature point,
+    # one for the integral-form LHS
+    with open(os.path.join(CONFIGS, "example2.json")) as fh:
+        sysm = system_from_dict(json.load(fh))
+    b = make_basis(64, 10.0)
+    calls = []
+    invert = opmat.invert_lower_toeplitz
+    monkeypatch.setattr(opmat, "invert_lower_toeplitz",
+                        lambda m: calls.append(m.label) or invert(m))
+    solve_ivp_shifted(sysm, 1.0, project_function(lambda t: np.zeros_like(t), b))
+    assert calls == ["LHS"]
 
 
 def test_ivp_shape_requirements():

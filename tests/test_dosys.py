@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import make_basis
 from dorder.opmat import (OpMatrix, integration_matrix, derivative_matrix,
-                          invert_lower_toeplitz, identity_matrix, compose, to_dense)
+                          invert_lower_toeplitz, to_dense)
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
                           density_quadrature, term_operator,
                           assemble_system_operator, system_from_dict,
-                          system_to_dict, _bind, _system_columns)
+                          system_to_dict, _bind, _integral_shift, _system_columns)
 from dorder.stochsolve import tensor_cubature
 
 
@@ -141,15 +141,56 @@ def test_term_operator_distributed_matches_manual_sum():
     assert np.allclose(term_operator(t, b).first_col, 2.0 * manual, atol=1e-15)
 
 
-def test_whole_derivative_orders_compose():
-    b = make_basis(32, 1.0)
-    b1 = derivative_matrix(1.0, b)
-    t2 = lhs_point(1.0, 2.0)
-    assert np.allclose(term_operator(t2, b).first_col,
-                       compose(b1, b1).first_col, atol=0)
-    t3 = lhs_point(1.0, 3.0)
-    assert np.allclose(term_operator(t3, b).first_col,
-                       compose(b1, compose(b1, b1)).first_col, atol=0)
+def test_term_operator_shifts_to_integral_form():
+    # under the shift gamma, D^alpha becomes A_(gamma - alpha) and I^beta
+    # becomes A_(gamma + beta); a derivative order above the shift is a
+    # negative integration order, which is refused
+    b = make_basis(16, 2.0)
+    d = lhs_point(3.0, 0.5)
+    assert np.array_equal(term_operator(d, b, shift=0.5).first_col,
+                          3.0 * integration_matrix(0.0, b).first_col)
+    assert np.array_equal(term_operator(d, b, shift=1.25).first_col,
+                          3.0 * integration_matrix(0.75, b).first_col)
+    i = lhs_point(3.0, 0.5, sense="integral")
+    assert np.array_equal(term_operator(i, b, shift=1.25).first_col,
+                          3.0 * integration_matrix(1.75, b).first_col)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        term_operator(d, b)
+
+
+def test_integral_shift_is_largest_derivative_order():
+    dist = DensityTerm("lhs", "derivative", "a", "distributed", lower=0.0, upper=1.0)
+    top = max(a for a, _ in density_quadrature(dist, {"a": 1.0}))
+    assert _integral_shift(DOSystem((dist,), (rhs_point(1.0, 0.0),))) == top
+    # both sides count; integral terms do not
+    sysm = DOSystem((lhs_point(1.0, 0.3), lhs_point(1.0, 2.5, sense="integral")),
+                    (rhs_point(1.0, 0.6),))
+    assert _integral_shift(sysm) == 0.6
+    only_integrals = DOSystem((lhs_point(1.0, 0.0),), (rhs_point(1.0, 1.5, "integral"),))
+    assert _integral_shift(only_integrals) == 0.0
+
+
+def test_improper_system_is_the_derivative_matrix():
+    # y = D^0.5 u: the RHS order sets the shift, the LHS becomes A_0.5 and
+    # its inverse is exactly the derivative-form B_0.5
+    b = make_basis(64, 3.0)
+    sysm = DOSystem((lhs_point(1.0, 0.0),), (rhs_point(1.0, 0.5),))
+    assert np.array_equal(assemble_system_operator(sysm, b).first_col,
+                          derivative_matrix(0.5, b).first_col)
+
+
+# Measured worst case 3.0e-13 (N=64, alpha just below 1, where B_alpha's
+# own roundoff grows); about 1e-16 at alpha <= 0.5 and exactly 0 at alpha = 1
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 64), st.floats(0.1, 20.0))
+def test_single_term_agrees_with_derivative_form(alpha, n, horizon):
+    # D^alpha y = u: integral form gives A_G = A_alpha directly, the
+    # derivative form inverts B_alpha = A_alpha^(-1)
+    b = make_basis(n, horizon)
+    sysm = DOSystem((lhs_point(1.0, alpha),), (rhs_point(1.0, 0.0),))
+    got = assemble_system_operator(sysm, b).first_col
+    ref = invert_lower_toeplitz(derivative_matrix(alpha, b)).first_col
+    assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(np.abs(ref))
 
 
 def test_order_zero_is_identity():
@@ -183,14 +224,15 @@ def test_assemble_binds_parameters():
 
 
 def term_by_term(sysm, b, values):
-    """A_G first column with every term operator rebuilt at these values."""
+    """A_G first column with every shifted term operator rebuilt at these values."""
     n = b.n_funcs
+    shift = _integral_shift(sysm)
     lhs = np.zeros(n)
     for t in sysm.lhs_terms:
-        lhs += term_operator(t, b, values).first_col
+        lhs += term_operator(t, b, values, shift).first_col
     rhs = np.zeros(n)
     for t in sysm.rhs_terms:
-        rhs += term_operator(t, b, values).first_col
+        rhs += term_operator(t, b, values, shift).first_col
     inv = invert_lower_toeplitz(OpMatrix(b, lhs))
     return np.convolve(inv.first_col, rhs)[:n]
 
@@ -210,7 +252,7 @@ def random_terms(draw, side):
         coeff = draw(st.one_of(st.sampled_from(["a", "g"]),
                                st.floats(-3.0, 3.0).filter(lambda c: c != 0.0)))
         if draw(st.booleans()):
-            order = draw(st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.05, 1.95)))
+            order = draw(st.one_of(st.sampled_from([0.0, 2.0, 3.0]), st.floats(0.05, 1.95)))
             terms.append(DensityTerm(side, sense, coeff, "point", order=order))
         else:
             lo = draw(st.floats(0.0, 1.5))

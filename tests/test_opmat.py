@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import make_basis, SpectralVector
-from dorder.dosys import system_from_dict, term_operator
+from dorder.dosys import system_from_dict, term_operator, _integral_shift
 from dorder.stochsolve import tensor_cubature
 from dorder.opmat import (OpMatrix, gamma_fn, integration_matrix,
                           derivative_matrix, identity_matrix,
@@ -157,29 +157,32 @@ def long_double_inverse(f):
 
 
 def config_lhs(name, n, node_index=None):
-    """A config's LHS first column, bound at one cubature node if asked."""
+    """A config's integral-form LHS first column, bound at one cubature node if asked."""
     with open(os.path.join(CONFIGS, name)) as fh:
         cfg = json.load(fh)
     sysm = system_from_dict(cfg)
     b = make_basis(n, cfg["horizon"])
     node = None if node_index is None else tensor_cubature(sysm.random_params).nodes[node_index]
+    shift = _integral_shift(sysm)
     col = np.zeros(n)
     for t in sysm.lhs_terms:
-        col += term_operator(t, b, node).first_col
+        col += term_operator(t, b, node, shift).first_col
     return OpMatrix(b, col, label="LHS")
 
 
 # Measured max error relative to max|g| (x86-64 OpenBLAS, 80-bit long
-# double); each bound allows 10x headroom over its measurement.
+# double); each bound allows 10x headroom over its measurement.  The
+# config columns are in integral form, as assembly builds them.
 @pytest.mark.parametrize("build, measured, bound", [
-    # ex2's distributed relaxation: the column peaks at 68 in entry 1 and
-    # decays after it; the inverse stays below 0.031
-    (lambda: config_lhs("example2.json", 2048), 9.3e-16, 1e-14),
+    # ex2's distributed relaxation times A_0.887: the column peaks at 0.24
+    # in entry 0, the inverse at 4.2
+    (lambda: config_lhs("example2.json", 2048), 8.6e-17, 9e-16),
     (lambda: integration_matrix(0.5, make_basis(2048, 1.0)), 5.9e-17, 6e-16),
-    # ex5's order-2 LHS grows to 1.3e6 here (8.6e7 at N=512, where the
-    # error is 2.9e-8) while its inverse stays below 0.028: the sum cancels
-    (lambda: config_lhs("example5.json", 128, node_index=0), 9.4e-11, 1e-9),
-], ids=["ex2_lhs_n2048", "A_0.5_n2048", "ex5_lhs_node0_n128"])
+    # ex5's order-2 LHS times A_2: the column peaks at 1.01 in entry 0 and
+    # its inverse at 0.99
+    (lambda: config_lhs("example5.json", 128, node_index=0), 5.6e-17, 6e-16),
+    (lambda: config_lhs("example5.json", 512, node_index=0), 4.6e-17, 5e-16),
+], ids=["ex2_lhs_n2048", "A_0.5_n2048", "ex5_lhs_node0_n128", "ex5_lhs_node0_n512"])
 def test_invert_graded_against_long_double(build, measured, bound):
     m = build()
     g = invert_lower_toeplitz(m).first_col

@@ -13,10 +13,10 @@ from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
 from dorder import opmat
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
-                          assemble_system_operator, system_from_dict, term_operator)
+                          assemble_system_operator, system_from_dict, term_operator,
+                          _integral_shift)
 from dorder.stochsolve import (StochasticForcing, MomentResult, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
-                               expected_operator, expected_sandwich,
                                propagate_moments, variance_series)
 from dorder.detsolve import solve
 
@@ -87,50 +87,37 @@ def test_tensor_cubature_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# expectation operators
+# expectations over the cubature grid
 
-def test_expected_operator_linear_in_rhs_param():
+def test_mean_linear_in_rhs_param():
     # A_G depends linearly on an RHS coefficient, so E[A_G] = A_G(E[k])
     b = make_basis(32, 1.0)
     sysm = DOSystem(
         (DensityTerm("lhs", "derivative", 1.0, "point", order=1.0),),
         (DensityTerm("rhs", "derivative", "k", "point", order=0.0),),
         (RandomParameter("k", "uniform", lo=0.5, hi=2.5, quad_order=4),))
-    grid = tensor_cubature(sysm.random_params)
-    ea = expected_operator(sysm, b, grid)
+    # input mean e_0: the output mean is the first column of E[A_G]
+    e0 = np.zeros(32)
+    e0[0] = 1.0
+    f = StochasticForcing(SpectralVector(b, e0), SpectralMatrix(b, np.zeros((32, 32))))
+    ea = propagate_moments(sysm, b, f).mean
     at_mean = assemble_system_operator(sysm, b, {"k": 1.5})
-    assert np.allclose(ea.first_col, at_mean.first_col, atol=1e-14)
+    assert np.allclose(ea.coeffs, at_mean.first_col, atol=1e-14)
 
 
-def test_expected_operator_order_insensitive():
-    b = make_basis(16, 1.0)
-    sysm = DOSystem(
-        (DensityTerm("lhs", "derivative", "k", "point", order=1.0),
-         DensityTerm("lhs", "derivative", 1.0, "point", order=0.0)),
-        (DensityTerm("rhs", "derivative", 1.0, "point", order=0.0),),
-        (RandomParameter("k", "uniform", lo=0.5, hi=1.5, quad_order=7),))
-    grid = tensor_cubature(sysm.random_params)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(len(grid))
-    shuffled = CubatureGrid(tuple(grid.nodes[i] for i in perm), grid.weights[perm])
-    a = expected_operator(sysm, b, grid).first_col
-    c = expected_operator(sysm, b, shuffled).first_col
-    assert np.max(np.abs(a - c)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
-
-
-def test_expected_sandwich_deterministic_matches_direct():
+def test_deterministic_moments_match_direct():
     rng = np.random.default_rng(1)
     b = make_basis(24, 1.0)
     sysm = simple_sys([(1.0, 1.0), (0.4, 0.0)])
     g = rng.standard_normal((24, 24))
     m = g @ g.T
-    mu, mean_y = rng.standard_normal(24), rng.standard_normal(24)
-    grid = CubatureGrid(({},), np.array([1.0]))
+    mu = rng.standard_normal(24)
     f = StochasticForcing(SpectralVector(b, mu), SpectralMatrix(b, m))
-    s = expected_sandwich(sysm, b, grid, f, mean_y)
+    r = propagate_moments(sysm, b, f)
     a = to_dense(assemble_system_operator(sysm, b))
-    direct = np.diag(a @ m @ a.T) + (a @ mu - mean_y) ** 2
-    assert np.allclose(s, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
+    direct = np.diag(a @ m @ a.T)
+    assert np.allclose(r.variance.coeffs, direct, rtol=0.0, atol=1e-12 * np.abs(direct).max())
+    assert np.allclose(r.mean.coeffs, a @ mu, rtol=0.0, atol=1e-12 * np.abs(a @ mu).max())
 
 
 def test_variance_order_insensitive():
@@ -145,12 +132,13 @@ def test_variance_order_insensitive():
     perm = rng.permutation(len(grid))
     shuffled = CubatureGrid(tuple(grid.nodes[i] for i in perm), grid.weights[perm])
     f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
-    a = propagate_moments(sysm, b, f, grid).variance.coeffs
-    c = propagate_moments(sysm, b, f, shuffled).variance.coeffs
-    assert np.max(np.abs(a - c)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+    r = propagate_moments(sysm, b, f, grid)
+    s = propagate_moments(sysm, b, f, shuffled)
+    for a, c in ((r.mean.coeffs, s.mean.coeffs), (r.variance.coeffs, s.variance.coeffs)):
+        assert np.max(np.abs(a - c)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-def test_expected_sandwich_node_failure_names_node():
+def test_node_failure_names_node():
     b = make_basis(8, 1.0)
     sysm = DOSystem(
         (DensityTerm("lhs", "derivative", "k", "point", order=0.0),),
@@ -158,17 +146,14 @@ def test_expected_sandwich_node_failure_names_node():
         (RandomParameter("k", "uniform", lo=-1.0, hi=1.0, quad_order=3),))
     grid = tensor_cubature(sysm.random_params)
     # middle node sits at k=0: singular LHS
-    with pytest.raises(ValueError, match="node 1"):
-        expected_operator(sysm, b, grid)
     f = StochasticForcing(zero_mean(b), white_noise_covariance(b, 1.0))
     with pytest.raises(ValueError, match="node 1"):
         propagate_moments(sysm, b, f, grid)
 
 
 def test_one_inversion_per_node(monkeypatch):
-    # ex5's term operators are built once per call: B_1 for the order-2
-    # composition and one B_alpha per order-quadrature point (3); then each
-    # cubature node inverts only its own LHS
+    # ex5's term operators are integration matrices, built once per call
+    # with no inversion; then each cubature node inverts only its own LHS
     with open(os.path.join(CONFIGS, "example5.json")) as fh:
         sysm = system_from_dict(json.load(fh))
     b = make_basis(32, 5.0)
@@ -180,16 +165,14 @@ def test_one_inversion_per_node(monkeypatch):
         return invert(m)
 
     monkeypatch.setattr(opmat, "invert_lower_toeplitz", counting)
+    shift = _integral_shift(sysm)
     for t in sysm.lhs_terms + sysm.rhs_terms:
-        term_operator(t, b, {t.coeff: 1.0} if isinstance(t.coeff, str) else None)
-    setup = len(calls)
-    assert setup == 4
-    calls.clear()
+        term_operator(t, b, {t.coeff: 1.0} if isinstance(t.coeff, str) else None, shift)
+    assert calls == []
     grid = tensor_cubature(sysm.random_params)
     f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
     propagate_moments(sysm, b, f, grid)
-    assert len(calls) == len(grid) + setup
-    assert calls.count("LHS") == len(grid)
+    assert calls == ["LHS"] * len(grid)
 
 
 # ---------------------------------------------------------------------------
