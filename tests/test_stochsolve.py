@@ -120,6 +120,26 @@ def test_deterministic_moments_match_direct():
     assert np.allclose(r.mean.coeffs, a @ mu, rtol=0.0, atol=1e-12 * np.abs(a @ mu).max())
 
 
+def test_expected_operator_order_insensitive():
+    b = make_basis(16, 1.0)
+    sysm = DOSystem(
+        (DensityTerm("lhs", "derivative", "k", "point", order=1.0),
+         DensityTerm("lhs", "derivative", 1.0, "point", order=0.0)),
+        (DensityTerm("rhs", "derivative", 1.0, "point", order=0.0),),
+        (RandomParameter("k", "uniform", lo=0.5, hi=1.5, quad_order=7),))
+    grid = tensor_cubature(sysm.random_params)
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(len(grid))
+    shuffled = CubatureGrid(tuple(grid.nodes[i] for i in perm), grid.weights[perm])
+    # input mean e_0: the output mean is the first column of E[A_G]
+    e0 = np.zeros(16)
+    e0[0] = 1.0
+    f = StochasticForcing(SpectralVector(b, e0), SpectralMatrix(b, np.zeros((16, 16))))
+    a = propagate_moments(sysm, b, f, grid).mean.coeffs
+    c = propagate_moments(sysm, b, f, shuffled).mean.coeffs
+    assert np.max(np.abs(a - c)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
+
+
 def test_variance_order_insensitive():
     b = make_basis(16, 1.0)
     sysm = DOSystem(
