@@ -14,7 +14,7 @@ import numpy as np
 from dorder.bpf import (make_basis, project_function, delta_spectral,
                         white_noise_covariance)
 from dorder.dosys import system_from_dict
-from dorder.detsolve import solve, solve_ivp_shifted
+from dorder.detsolve import solve, solve_ivp_shifted, _relaxation_form
 from dorder.stochsolve import StochasticForcing, propagate_moments, variance_series
 from dorder import oracles
 
@@ -42,10 +42,10 @@ def relaxation_errors(configs_dir, sizes):
     sysm, cfg = load(configs_dir, "example2.json")
     y0 = float(cfg["initial"])
     horizon, n_gl = 10.0, 4096
-    c = sum(t.coeff for t in sysm.lhs_terms if t.kind == "point" and t.order == 0.0)
-    b = sum(t.coeff for t in sysm.rhs_terms if t.kind == "point" and t.order == 0.0)
+    unit_sys, _, c = _relaxation_form(sysm, y0)
     h = horizon / n_gl
-    y_gl = y0 + oracles.gl_solve(sysm, np.full(n_gl, -c * y0 / b), h)
+    # x = y - y0 from rest under b u - c y0, with u = 0
+    y_gl = y0 + oracles.gl_solve(unit_sys, np.full(n_gl, -c * y0), h)
     t_gl = (np.arange(n_gl) + 1) * h
     for n in sizes:
         basis = make_basis(n, horizon)

@@ -24,7 +24,7 @@ from . import __version__
 from .bpf import (make_basis, project_function, project_bivariate,
                   delta_spectral, white_noise_covariance)
 from .dosys import system_from_dict, system_to_dict
-from .detsolve import solve, solve_ivp_shifted
+from .detsolve import solve, solve_ivp_shifted, _relaxation_form
 from .stochsolve import (StochasticForcing, tensor_cubature,
                          propagate_moments, variance_series, _rank_rtol)
 from . import oracles
@@ -248,19 +248,14 @@ def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
     return check
 
 
-def _gl_check(spec, sysm, horizon, times, u_fn, y0):
+def _gl_check(spec, march, horizon, times, u_fn, y0):
+    """GL stepper reference y0 + gl_solve(system, b u - c y0) for march = (system, b, c)."""
     n_grid = int(spec.get("n_grid", 1024))
     tol = float(spec.get("tol_abs", 1e-2))
     if n_grid < 1:
         raise ConfigError(f"gl_stepper n_grid must be >= 1, got {n_grid}")
     h = horizon / n_grid
-    shift = 0.0
-    if y0 != 0.0:
-        # same shift as the spectral solver: march x = y - y0 from rest,
-        # absorbing the order-zero LHS coefficient into the forcing
-        c = sum(t.coeff for t in sysm.lhs_terms if t.kind == "point" and t.order == 0.0)
-        (rhs_term,) = sysm.rhs_terms
-        shift = c * y0 / rhs_term.coeff
+    msys, b, c = march
     idx = np.clip(np.round(np.asarray(times) / h).astype(int) - 1, 0, n_grid - 1)
 
     def check(y):
@@ -269,7 +264,7 @@ def _gl_check(spec, sysm, horizon, times, u_fn, y0):
             u[0] = 1.0 / h  # unit-area pulse in the first step
         else:
             u = u_fn((np.arange(n_grid) + 1) * h)
-        ref = (y0 + oracles.gl_solve(sysm, u - shift, h))[idx]
+        ref = (y0 + oracles.gl_solve(msys, b * u - c * y0, h))[idx]
         err = np.abs(np.asarray(y) - ref)
         worst = float(np.max(err))
         report = {"kind": "gl_stepper", "n_grid": n_grid, "tol_abs": tol,
@@ -360,11 +355,14 @@ def _prepare_solve(cfg, sysm, horizon, args):
     times = basis.midpoints()
     u_fn = _input_fn(cfg)
     y0 = float(cfg.get("initial", 0.0))
+    # the shifted solve marches x = y - y0 from rest under b u - c y0;
+    # its shape and y0 are checked here, so a wrong one is a config error
+    march = _relaxation_form(sysm, y0) if "initial" in cfg else (sysm, 1.0, 0.0)
     check = _verify_check(cfg, args, {
         "impulse_integral": lambda spec: _window_check(
             spec, times, "impulse_integral", 0.05, "abs", 5e-3,
             "oracle", oracles.analytic_impulse_example1),
-        "gl_stepper": lambda spec: _gl_check(spec, sysm, horizon, times, u_fn, y0),
+        "gl_stepper": lambda spec: _gl_check(spec, march, horizon, times, u_fn, y0),
     })
 
     def run():

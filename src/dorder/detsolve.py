@@ -3,15 +3,15 @@
 The forced response is a single ring matvec C_y = A_G C_u.  Initial
 value problems of relaxation type are handled by the constant shift
 y = x + y0: derivatives of the constant vanish under the zero-initial
-condition convention, so x solves the same equation with a constant
-extra forcing and x(0) = 0.
+condition convention, so x solves the LHS with a unit identity RHS
+under the forcing b u - c y0 from x(0) = 0, through the same solve.
 """
 
 import numpy as np
 
 from .bpf import SpectralVector, delta_spectral
 from . import opmat
-from .dosys import _bind_side, _integral_shift, _term_columns, assemble_system_operator
+from .dosys import DensityTerm, DOSystem, assemble_system_operator
 # not called here; kept bound so perfbench's tracer finds it by name
 from .dosys import term_operator  # noqa: F401
 
@@ -42,21 +42,47 @@ def impulse_response(sys, basis):
     return solve(sys, delta_spectral(basis))
 
 
+def _relaxation_form(sys, y0):
+    """(unit_sys, b, c) of a relaxation-type IVP; ValueError on any other shape.
+
+    y0 must be finite.  The LHS must hold an explicit identity term
+    (point kind, order 0; the coefficients of all such terms sum to c,
+    which may be zero) and the RHS a single identity term, of
+    coefficient b.  unit_sys is the LHS with a unit identity RHS:
+    y = x + y0 turns the IVP into unit_sys(x) = b * forcing - c * y0
+    from rest.
+    """
+    if not np.isfinite(y0):
+        raise ValueError(f"initial value must be finite, got {y0!r}")
+    const_terms = [t for t in sys.lhs_terms if t.kind == "point" and t.order == 0.0]
+    if not const_terms:
+        raise ValueError(
+            "shifted solve needs an explicit identity term on the LHS "
+            "(point kind, order 0); add one with coefficient 0 if absent")
+    if len(sys.rhs_terms) != 1:
+        raise ValueError("shifted solve supports a single identity RHS term")
+    rt = sys.rhs_terms[0]
+    if rt.kind != "point" or rt.order != 0.0:
+        raise ValueError(
+            f"shifted solve needs an identity RHS term, got {rt.kind} of order {rt.order!r}")
+    unit = DensityTerm("rhs", "derivative", 1.0, "point", order=0.0)
+    return DOSystem(sys.lhs_terms, (unit,)), rt.coeff, sum(t.coeff for t in const_terms)
+
+
 def solve_ivp_shifted(sys, y0, forcing):
     """Relaxation-type initial value problem via the constant shift.
 
     The system must have, on the LHS, fractional or distributed terms
     plus an explicit identity term (point kind, order 0; its
-    coefficient c may be zero), and a single identity term on the RHS.
-    Substituting y = x + y0 gives
+    coefficient c may be zero), and a single identity term b on the
+    RHS.  Substituting y = x + y0 gives
 
         LHS(x) = b * forcing - c * y0,   x(0) = 0,
 
-    which the zero-initial-condition machinery solves directly; the
-    returned coefficients are those of y = x + y0.  Like assembly it
-    works in integral form: the LHS columns are those of
-    assemble_system_operator and the right-hand side is multiplied by
-    the same A_gamma, so the solve inverts one O(1) column.
+    which is a plain solve of the LHS with a unit identity RHS, so it
+    takes solve's path: one inversion of the integral-form LHS column,
+    then two length-N products.  The returned coefficients are those of
+    y = x + y0.
 
     Parameters
     ----------
@@ -71,32 +97,7 @@ def solve_ivp_shifted(sys, y0, forcing):
     SpectralVector
     """
     _require_deterministic(sys)
-    if not np.isfinite(y0):
-        raise ValueError(f"initial value must be finite, got {y0!r}")
+    unit_sys, b, c = _relaxation_form(sys, y0)
     basis = forcing.basis
-
-    const_terms = [t for t in sys.lhs_terms if t.kind == "point" and t.order == 0.0]
-    if not const_terms:
-        raise ValueError(
-            "shifted solve needs an explicit identity term on the LHS "
-            "(point kind, order 0); add one with coefficient 0 if absent")
-    c = sum(t.coeff for t in const_terms)
-
-    if len(sys.rhs_terms) != 1:
-        raise ValueError("shifted solve supports a single identity RHS term")
-    rt = sys.rhs_terms[0]
-    if rt.kind != "point" or rt.order != 0.0:
-        raise ValueError(
-            f"shifted solve needs an identity RHS term, got {rt.kind} of order {rt.order!r}")
-    b = rt.coeff
-
-    # integral form, as in assembly: both sides multiplied by A_shift
-    n = basis.n_funcs
-    shift = _integral_shift(sys)
-    lhs_col = _bind_side(_term_columns(sys.lhs_terms, basis, shift), n, None)
-    inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs_col, label="LHS"))
-
-    shifted = b * forcing.coeffs - c * y0 * np.ones(n)
-    shifted = np.convolve(opmat.integration_matrix(shift, basis).first_col, shifted)[:n]
-    x = np.convolve(inv.first_col, shifted)[:n]
-    return SpectralVector(basis, x + y0)
+    x = solve(unit_sys, SpectralVector(basis, b * forcing.coeffs - c * y0))
+    return SpectralVector(basis, x.coeffs + y0)

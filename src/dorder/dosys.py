@@ -253,47 +253,36 @@ def _integral_shift(sys):
                 for alpha, _ in density_quadrature(t, _unit_values(t))), default=0.0)
 
 
-def _term_columns(terms, basis, shift):
-    """(term, first column) per term, a random coefficient set to 1.
-
-    Random parameters bind coefficients, never orders, so these columns
-    are the same at every parameter value.  Setting the coefficient to 1
-    is exact: 0 + 1*x and x*1 round to x, and c*(1*x) to c*x, so
-    _bind_side reproduces term_operator's columns bit for bit.
-    """
-    return tuple((t, term_operator(t, basis, _unit_values(t), shift).first_col)
-                 for t in terms)
-
-
-def _bind_side(columns, n, param_values):
-    """Sum of one side's term columns at the given parameter values, in term order."""
-    out = np.zeros(n)
-    for t, col in columns:
-        out += _resolve_coeff(t, param_values) * col if isinstance(t.coeff, str) else col
-    return out
-
-
 def _system_columns(sys, basis):
-    """Coefficient-free term columns of both sides: build once, bind per node.
+    """(term, first column) per term of both sides: build once, bind per node.
 
     Both sides are multiplied through by A_shift with the shift of
-    _integral_shift, so every column is an integration matrix.
+    _integral_shift, so every column is an integration matrix.  A random
+    coefficient is set to 1: random parameters bind coefficients, never
+    orders, so these columns are the same at every parameter value, and
+    the unit is exact (0 + 1*x and x*1 round to x, and c*(1*x) to c*x),
+    so _bind reproduces term_operator's columns bit for bit.
     """
     shift = _integral_shift(sys)
-    return (_term_columns(sys.lhs_terms, basis, shift),
-            _term_columns(sys.rhs_terms, basis, shift))
+    return tuple(tuple((t, term_operator(t, basis, _unit_values(t), shift).first_col)
+                       for t in terms)
+                 for terms in (sys.lhs_terms, sys.rhs_terms))
 
 
 def _bind(columns, basis, param_values):
-    """A_G = [sum LHS]^(-1) [sum RHS] from _system_columns: one inversion."""
-    lhs_cols, rhs_cols = columns
+    """A_G = [sum LHS]^(-1) [sum RHS] from _system_columns: one inversion.
+
+    Each side is the sum of its term columns at the given parameter
+    values, in term order.
+    """
     n = basis.n_funcs
-    lhs = _bind_side(lhs_cols, n, param_values)
+    lhs, rhs = (sum((_resolve_coeff(t, param_values) * col if isinstance(t.coeff, str)
+                     else col for t, col in side_columns), np.zeros(n))
+                for side_columns in columns)
     if lhs[0] == 0.0:
         raise ValueError(
             f"singular LHS while assembling system with terms "
-            f"{tuple(t for t, _ in lhs_cols)}: leading first-column entry is zero")
-    rhs = _bind_side(rhs_cols, n, param_values)
+            f"{tuple(t for t, _ in columns[0])}: leading first-column entry is zero")
     inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS"))
     return opmat.OpMatrix(basis, np.convolve(inv.first_col, rhs)[:n], label="A_G")
 

@@ -265,28 +265,37 @@ def gl_weights(alpha, n):
     return w
 
 
-def _signed_order(order, sense):
-    return order if sense == "derivative" else -order
+def _term_weights(terms, n, h):
+    """(term, convolution weights at unit coefficient) per term, built once per grid.
 
-
-def _unit_term_weights(term, n, h):
-    """Convolution weights of one term at unit coefficient."""
-    col = np.zeros(n)
-    if term.kind == "point":
-        s = _signed_order(term.order, term.sense)
-        col += h ** (-s) * gl_weights(s, n)
-    else:
-        for a_l, w_l in density_quadrature(term):
-            s = _signed_order(a_l, term.sense)
+    Distributed terms are collapsed by their order quadrature.
+    """
+    out = []
+    for t in terms:
+        pairs = [(t.order, 1.0)] if t.kind == "point" else density_quadrature(t)
+        col = np.zeros(n)
+        for a_l, w_l in pairs:
+            s = a_l if t.sense == "derivative" else -a_l
             col += w_l * h ** (-s) * gl_weights(s, n)
-    return col
+        out.append((t, col))
+    return out
 
 
-def _gl_step(w_lhs, rhs):
-    """March y through w_lhs * y = rhs (truncated convolution on the left)."""
+def _gl_march(lhs_cols, rhs_cols, u, values):
+    """March y through sum c_i w_i * y = sum c_j (w_j * u) (truncated convolutions).
+
+    lhs_cols and rhs_cols are _term_weights lists; the coefficients c
+    are bound at the parameter values `values`.
+    """
+    n = u.shape[0]
+    w_lhs = np.zeros(n)
+    for t, col in lhs_cols:
+        w_lhs += _resolve_coeff(t, values) * col
+    rhs = np.zeros(n)
+    for t, col in rhs_cols:
+        rhs += _resolve_coeff(t, values) * np.convolve(col, u)[:n]
     if w_lhs[0] == 0.0:
         raise ValueError("degenerate stepping operator: leading weight is zero")
-    n = rhs.shape[0]
     y = np.empty(n)
     w0 = w_lhs[0]
     tail = w_lhs[1:]
@@ -312,19 +321,34 @@ def gl_solve(sys, input_samples, step, param_values=None):
     h = float(step)
     if not h > 0:
         raise ValueError(f"step must be positive, got {step!r}")
-
-    w_lhs = np.zeros(n)
-    for t in sys.lhs_terms:
-        w_lhs += _resolve_coeff(t, param_values) * _unit_term_weights(t, n, h)
-    rhs = np.zeros(n)
-    for t in sys.rhs_terms:
-        col = _resolve_coeff(t, param_values) * _unit_term_weights(t, n, h)
-        rhs += np.convolve(col, u)[:n]
-    return _gl_step(w_lhs, rhs)
+    return _gl_march(_term_weights(sys.lhs_terms, n, h), _term_weights(sys.rhs_terms, n, h),
+                     u, param_values)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo with Gaussian-process forcing
+
+def _grid_cholesky(cov_fn, t):
+    """Lower Cholesky factor of cov_fn on the grid t, jitter 1e-10 * trace on the diagonal."""
+    k = np.asarray(cov_fn(t[:, None], t[None, :]), dtype=float)
+    if k.shape != (t.size, t.size):
+        raise ValueError("cov_fn must evaluate on broadcast grids")
+    k = k + np.eye(t.size) * (1e-10 * np.trace(k))
+    try:
+        return cholesky(k, lower=True)
+    except np.linalg.LinAlgError as e:
+        raise ValueError(f"covariance is not positive semidefinite on the grid: {e}") from e
+
+
+def _mean_values(mean_fn, t):
+    """A constant or a callable of time on the grid t; pointwise if it does not broadcast."""
+    if not callable(mean_fn):
+        return np.full(t.shape, float(mean_fn))
+    v = np.asarray(mean_fn(t), dtype=float)
+    if v.shape != t.shape:
+        v = np.array([float(mean_fn(ti)) for ti in t])
+    return v
+
 
 def sample_gaussian_process(mean_fn, cov_fn, time_grid, seed):
     """One path of a Gaussian process on a fixed grid.
@@ -334,20 +358,9 @@ def sample_gaussian_process(mean_fn, cov_fn, time_grid, seed):
     seeded generator.  Same seed, same path.
     """
     t = np.asarray(time_grid, dtype=float)
-    k = np.asarray(cov_fn(t[:, None], t[None, :]), dtype=float)
-    if k.shape != (t.size, t.size):
-        raise ValueError("cov_fn must evaluate on broadcast grids")
-    k = k + np.eye(t.size) * (1e-10 * np.trace(k))
-    try:
-        ell = cholesky(k, lower=True)
-    except np.linalg.LinAlgError as e:
-        raise ValueError(f"covariance is not positive semidefinite on the grid: {e}") from e
+    ell = _grid_cholesky(cov_fn, t)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mean = mean_fn(t) if callable(mean_fn) else np.full(t.size, float(mean_fn))
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != t.shape:
-        mean = np.array([float(mean_fn(ti)) for ti in t])
-    return mean + ell @ rng.standard_normal(t.size)
+    return _mean_values(mean_fn, t) + ell @ rng.standard_normal(t.size)
 
 
 @dataclass(frozen=True)
@@ -371,12 +384,7 @@ class ForcingModel:
             raise ValueError("white_intensity must be nonnegative")
 
     def mean_values(self, t):
-        if callable(self.mean_fn):
-            v = np.asarray(self.mean_fn(t), dtype=float)
-            if v.shape != t.shape:
-                v = np.array([float(self.mean_fn(ti)) for ti in t])
-            return v
-        return np.full(t.shape, float(self.mean_fn))
+        return _mean_values(self.mean_fn, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,28 +478,18 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
     h = float(horizon) / n_grid
     times = (np.arange(n_grid) + 1) * h
 
-    lhs_cols = [(t, _unit_term_weights(t, n_grid, h)) for t in sys.lhs_terms]
-    rhs_cols = [(t, _unit_term_weights(t, n_grid, h)) for t in sys.rhs_terms]
+    lhs_cols = _term_weights(sys.lhs_terms, n_grid, h)
+    rhs_cols = _term_weights(sys.rhs_terms, n_grid, h)
     mean_vals = forcing.mean_values(times)
 
-    ell = None
-    if forcing.kernel is not None:
-        k = np.asarray(forcing.kernel(times[:, None], times[None, :]), dtype=float)
-        k = k + np.eye(n_grid) * (1e-10 * np.trace(k))
-        try:
-            ell = cholesky(k, lower=True)
-        except np.linalg.LinAlgError as e:
-            raise ValueError(f"forcing covariance is not positive semidefinite: {e}") from e
-    white_scale = None
-    if forcing.white_intensity is not None:
-        white_scale = math.sqrt(forcing.white_intensity / h)
+    ell = None if forcing.kernel is None else _grid_cholesky(forcing.kernel, times)
+    white_scale = (None if forcing.white_intensity is None
+                   else math.sqrt(forcing.white_intensity / h))
 
     params = sys.random_params
-    sampler = None
     u_halton = None
     if halton and params:
-        sampler = qmc.Halton(d=len(params), scramble=True, seed=seed)
-        u_halton = sampler.random(n_samples)
+        u_halton = qmc.Halton(d=len(params), scramble=True, seed=seed).random(n_samples)
 
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = _RunningMoments(n_grid)
@@ -507,14 +505,7 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
             path = mean_vals + ell @ rng.standard_normal(n_grid)
         elif white_scale is not None:
             path = mean_vals + white_scale * rng.standard_normal(n_grid)
-
-        w_lhs = np.zeros(n_grid)
-        for t, col in lhs_cols:
-            w_lhs += _resolve_coeff(t, values) * col
-        rhs = np.zeros(n_grid)
-        for t, col in rhs_cols:
-            rhs += _resolve_coeff(t, values) * np.convolve(col, path)[:n_grid]
-        acc.update(_gl_step(w_lhs, rhs))
+        acc.update(_gl_march(lhs_cols, rhs_cols, path, values))
 
     return McResult(times, acc.mean.copy(), acc.variance(), acc.se_mean(),
                     acc.se_variance(), n_samples=n_samples, seed=seed,

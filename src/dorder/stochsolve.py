@@ -1,18 +1,19 @@
 """Output moments under random forcing and random coefficients.
 
 For a linear system the output mean and variance follow from the
-input mean C_mU and covariance C_kUU through the assembled operator:
+input mean C_mU and covariance C_kUU through the assembled operator A_j
+at each cubature node j, of probability weight w_j:
 
-    C_mY  = E[A_G] C_mU
-    var_Y = E[ diag(A_G C_kUU A_G^T) + (A_G C_mU - C_mY)^2 ]
+    C_mY  = sum_j w_j A_j C_mU
+    var_Y = sum_j w_j [ diag(A_j C_kUU A_j^T) + (A_j C_mU - C_mY)^2 ]
 
 This is the diagonal of E[A_G (C_kUU + C_mU C_mU^T) A_G^T] - C_mY C_mY^T
 in centred form: every term is a variance, so nothing cancels.  With
-deterministic coefficients the expectations drop out.  With random
-coefficients they are evaluated by full tensor Gauss cubature over the
-parameters (stochastic collocation): assemble A_G at every node and sum
-the per-node vectors with the probability weights in one weighted sum,
-so node ordering moves results only at roundoff.
+deterministic coefficients there is one node of weight 1.  With random
+coefficients the nodes are a full tensor Gauss cubature over the
+parameters (stochastic collocation), and the per-node vectors are
+summed with the probability weights in one weighted sum each, so node
+ordering moves results only at roundoff.
 
 Random parameters bind coefficients, never orders, so every term's
 integral-form column is built once per propagate_moments call.  Each node
@@ -35,7 +36,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .bpf import SpectralVector, SpectralMatrix, reconstruct
-from . import opmat
 from .dosys import _bind, _system_columns
 # not called here; kept bound so perfbench's tracer finds it by name
 from .dosys import assemble_system_operator  # noqa: F401
@@ -206,7 +206,7 @@ def _grid_or_trivial(sys, grid):
 
 
 def _node_moments(sys, basis, grid, forcing):
-    """Per-node A_j first columns, A_j mu and diag(A_j C A_j^T), stacked by node.
+    """Per-node A_j mu and diag(A_j C A_j^T), stacked by node.
 
     A_j is lower-triangular Toeplitz, so with the forcing's factor
     C = F F^T the diagonal is rowsum((A_j F)^2): one truncated FFT
@@ -219,29 +219,28 @@ def _node_moments(sys, basis, grid, forcing):
     fac = forcing._factor
     mu = forcing.mean.coeffs
     n = basis.n_funcs
-    cols, a_mu, var = [], [], []
+    a_mu, var = [], []
     for j, node in enumerate(grid.nodes):
         try:
             a = _bind(columns, basis, node).first_col
         except (ValueError, RuntimeError) as e:
             raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
-        cols.append(a)
         a_mu.append(np.convolve(a, mu)[:n])
         if fac.ndim == 1:
             var.append(np.convolve(a * a, fac)[:n])
         else:
             af = fftconvolve(a[:, None], fac, axes=0)[:n]
             var.append(np.einsum("ik,ik->i", af, af))
-    return np.stack(cols), np.stack(a_mu), np.stack(var)
+    return np.stack(a_mu), np.stack(var)
 
 
 def propagate_moments(sys, basis, forcing, grid=None):
     """Mean and variance of the output.
 
     One pass over the cubature nodes: each node binds the term columns
-    (built once per call), inverts its LHS once and keeps A_j, A_j mu
-    and diag(A_j C A_j^T).  The mean E[A_G] mu and the centred variance
-    follow from those stacks.
+    (built once per call), inverts its LHS once and keeps A_j mu and
+    diag(A_j C A_j^T).  The mean sum_j w_j A_j mu and the centred
+    variance follow from those stacks.
 
     Parameters
     ----------
@@ -262,13 +261,12 @@ def propagate_moments(sys, basis, forcing, grid=None):
         raise ValueError("forcing does not live on the requested basis")
     grid = _grid_or_trivial(sys, grid)
 
-    cols, a_mu, var = _node_moments(sys, basis, grid, forcing)
-    expected = opmat.OpMatrix(basis, grid.weights @ cols, label="E[A_G]")
-    mean_y = opmat.apply(expected, forcing.mean)
+    a_mu, var = _node_moments(sys, basis, grid, forcing)
+    mean = grid.weights @ a_mu
     # centred form: every term is non-negative, so nothing cancels
-    dev = a_mu - mean_y.coeffs
+    dev = a_mu - mean
     var = grid.weights @ (var + dev * dev)
-    return MomentResult(mean_y, SpectralVector(basis, var))
+    return MomentResult(SpectralVector(basis, mean), SpectralVector(basis, var))
 
 
 def variance_series(r, times):

@@ -212,6 +212,15 @@ MALFORMED = {
     "verify_window": ("stoch", 3, _set("verify", "window", [1]), ["--verify"]),
     "input_string": ("solve", 1, _set("input", "delta"), []),
     "initial": ("solve", 2, _set("initial", "abc"), []),
+    "initial_infinite": ("solve", 2, _set("initial", math.inf), []),
+    # the shifted solve's shape: an LHS identity term and one identity RHS term
+    "initial_without_lhs_identity": ("solve", 2, lambda cfg: cfg["terms"].pop(1), []),
+    "initial_two_rhs_terms": ("solve", 2, lambda cfg: cfg["terms"].append(
+        {"side": "rhs", "sense": "integral", "coeff": 1.0, "kind": "point", "order": 0.5}),
+        []),
+    "initial_two_rhs_terms_verify": ("solve", 2, lambda cfg: cfg["terms"].append(
+        {"side": "rhs", "sense": "integral", "coeff": 1.0, "kind": "point", "order": 0.5}),
+        ["--verify"]),
     "verify_n_grid": ("solve", 2, _set("verify", "n_grid", -4), ["--verify"]),
     "quad_points_zero": ("solve", 2, lambda cfg: None, ["--quad-points", "0"]),
     "n_basis_zero": ("solve", 1, lambda cfg: None, ["--n-basis", "0"]),
@@ -234,6 +243,20 @@ def test_malformed_config_exits_one_before_writing(workdir, capsys, case):
     assert main(argv + extra) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(os.listdir(workdir)) == ["case.json"]
+
+
+def test_relaxation_with_zero_rhs_coefficient_verifies(workdir):
+    # b = 0 leaves y(0) = y0 relaxing from rest; the GL reference marches
+    # the unit-RHS system under b u - c y0, so it never divides by b
+    cfg = _example(2)
+    paths = {}
+    for b in (1.0, 0.0):
+        cfg["terms"][2]["coeff"] = b
+        paths[b] = write_config(workdir, cfg, f"b{b:g}.json")
+        assert main(["solve", paths[b], "--n-basis", "64", "--verify",
+                     "--output", f"b{b:g}.csv"]) == 0
+    # the input is 0, so b multiplies nothing: both runs give the same y
+    assert read_csv(workdir / "b0.csv")[1]["y"] == read_csv(workdir / "b1.csv")[1]["y"]
 
 
 def test_solver_failure_is_exit_two(workdir, capsys):

@@ -422,7 +422,18 @@ def test_mc_validation():
         mc_moments(sysm, fm, 1.0, 16, 1, seed=0)
     with pytest.raises(ValueError):
         mc_moments(sysm, fm, 1.0, 0, 10, seed=0)
+    with pytest.raises(ValueError, match="broadcast"):
+        mc_moments(sysm, ForcingModel(kernel=lambda a, b: 1.0), 1.0, 16, 10, seed=0)
     with pytest.raises(ValueError):
         ForcingModel(mean_fn=0.0, kernel=SQE, white_intensity=1.0)
     with pytest.raises(ValueError):
         ForcingModel(mean_fn=0.0, white_intensity=-1.0)
+
+
+def test_mc_and_gl_solve_share_one_march():
+    # deterministic forcing and coefficients: every sample is gl_solve's path
+    sysm = make_sys([point("lhs", 1.0, 0.75), point("lhs", 0.5, 0.0)],
+                    [point("rhs", 0.7, 0.0), point("rhs", 1.3, 0.4, "integral")])
+    r = mc_moments(sysm, ForcingModel(mean_fn=np.cos), 2.0, 64, 3, seed=1)
+    assert np.array_equal(r.mean, gl_solve(sysm, np.cos(r.times), 2.0 / 64))
+    assert np.array_equal(r.variance, np.zeros(64))
