@@ -274,16 +274,23 @@ def _gl_check(spec, march, horizon, times, u_fn, y0):
     return check
 
 
-def _ml_variance_check(spec, times):
-    a1, a2, alpha1, alpha2 = (float(spec.get(k, d)) for k, d in (
-        ("a1", 1.0), ("a2", 1.0), ("alpha1", 0.75), ("alpha2", 1.0)))
+def _white_intensity(kind, sysm, white_q):
+    """Intensity q scaling a unit-white-noise reference; ConfigError where it cannot check."""
+    if white_q is None or not white_q > 0 or sysm.random_params:
+        raise ConfigError(f"{kind} checks white noise of positive intensity (got "
+                          f"{white_q!r}) on a system without random parameters")
+    return white_q
+
+
+def _ml_variance_check(spec, times, q):
+    shape = {k: float(spec[k]) for k in ("a1", "a2", "alpha1", "alpha2") if k in spec}
     window = _window_check(
         spec, times, "ml_variance", 0.5, "rel", 0.02, "oracle_variance",
-        lambda t: oracles.variance_double_integrator(t, a1, a2, alpha1, alpha2))
+        lambda t: q * oracles.variance_double_integrator(t, **shape))
     return lambda variance, mean, forcing: window(variance)
 
 
-def _h2_check(spec, sysm, times):
+def _h2_check(spec, sysm, times, q):
     t_min = float(spec.get("t_min", 4.5))
     tol = float(spec.get("tol_rel", 0.05))
     mask = np.asarray(times) >= t_min
@@ -292,7 +299,7 @@ def _h2_check(spec, sysm, times):
 
     def check(variance, mean, forcing):
         plateau = float(np.mean(np.asarray(variance)[mask]))
-        ref = oracles.steady_state_variance_frequency(sysm)
+        ref = q * oracles.steady_state_variance_frequency(sysm)
         rel = abs(plateau - ref) / abs(ref)
         report = {"kind": "h2_plateau", "t_min": t_min, "tol_rel": tol,
                   "plateau": plateau, "reference": ref, "rel_error": rel,
@@ -382,8 +389,10 @@ def _prepare_stoch(cfg, sysm, horizon, args):
     times = basis.midpoints()
     mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
     check = _verify_check(cfg, args, {
-        "ml_variance": lambda spec: _ml_variance_check(spec, times),
-        "h2_plateau": lambda spec: _h2_check(spec, sysm, times),
+        "ml_variance": lambda spec: _ml_variance_check(
+            spec, times, _white_intensity("ml_variance", sysm, white_q)),
+        "h2_plateau": lambda spec: _h2_check(
+            spec, sysm, times, _white_intensity("h2_plateau", sysm, white_q)),
         "colloc_refinement": lambda spec: _refinement_check(spec, sysm, basis),
     })
 
@@ -495,8 +504,7 @@ def cmd_oracle(args):
         elif name == "variance3":
             if len(vals) not in (1, 5):
                 raise ConfigError("usage: oracle variance3 T [A1 A2 ALPHA1 ALPHA2]")
-            extra = [float(v) for v in vals[1:]] or [1.0, 1.0, 0.75, 1.0]
-            out = [oracles.variance_double_integrator(float(vals[0]), *extra)]
+            out = [oracles.variance_double_integrator(*(float(v) for v in vals))]
         elif name == "h2norm4":
             if vals:
                 raise ConfigError("usage: oracle h2norm4 (no arguments)")

@@ -23,11 +23,6 @@ def _require_deterministic(sys):
         raise ValueError(
             "system has random parameters; use the stochastic moment path "
             "(propagate_moments) or bind values via assemble_system_operator")
-    for t in sys.lhs_terms + sys.rhs_terms:
-        if isinstance(t.coeff, str):
-            raise ValueError(
-                f"coefficient bound to parameter {t.coeff!r} has no value; "
-                "deterministic solve needs fully numeric coefficients")
 
 
 def solve(sys, input_sv):

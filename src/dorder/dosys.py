@@ -6,8 +6,9 @@ A system is two lists of terms, one per side of
 
 where each term is either a single fractional order (point kind) or a
 density rho(alpha) integrated over an order interval (distributed
-kind).  Distributed terms are collapsed to multi-term form by
-Gauss-Legendre quadrature in the order variable; the assembled system
+kind).  A term supplies orders and order weights (Gauss-Legendre
+quadrature in the order variable, or the one pair (order, 1)); each
+side sum multiplies each term by its coefficient once, and the system
 operator is [sum LHS]^(-1) [sum RHS] on the Toeplitz ring.
 
 Assembly works in integral form: both sides are multiplied by A_gamma,
@@ -146,7 +147,7 @@ class RandomParameter:
 
 @dataclass(frozen=True)
 class DOSystem:
-    """A distributed-order system: LHS terms, RHS terms, random bindings."""
+    """LHS terms, RHS terms, and the random parameters every named coefficient names."""
 
     lhs_terms: tuple
     rhs_terms: tuple
@@ -169,6 +170,9 @@ class DOSystem:
         names = [p.name for p in self.random_params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate random parameter names in {names}")
+        for t in self.lhs_terms + self.rhs_terms:
+            if isinstance(t.coeff, str) and t.coeff not in names:
+                raise ValueError(f"term references unknown parameter {t.coeff!r}")
 
     def param_names(self):
         return tuple(p.name for p in self.random_params)
@@ -198,26 +202,35 @@ def _resolve_coeff(term, param_values):
     return float(param_values[term.coeff])
 
 
-def density_quadrature(term, param_values=None):
+def density_quadrature(term):
     """Order nodes and weights collapsing a term to multi-term form.
 
     Distributed terms get Gauss-Legendre nodes on [lower, upper] with
-    weights nu_l * rho(alpha_l) * (upper - lower)/2; the term
-    coefficient is NOT folded in here (term_operator applies it).
-    Point terms are the sifted limit: a single (order, coeff) pair.
+    weights nu_l * rho(alpha_l) * (upper - lower)/2.  Point terms are
+    the sifted limit: the single pair (order, 1).  The term coefficient
+    is never folded in; each side sum multiplies it in once.
 
     Returns
     -------
     list of (node, weight) float pairs
     """
     if term.kind == "point":
-        return [(term.order, _resolve_coeff(term, param_values))]
+        return [(term.order, 1.0)]
     x, w = np.polynomial.legendre.leggauss(term.quad_points)
     half = 0.5 * (term.upper - term.lower)
     nodes = term.lower + (x + 1.0) * half
     rho = _density_callable(term.density)
     weights = w * half * np.asarray(rho(nodes), dtype=float)
     return list(zip(nodes.tolist(), weights.tolist()))
+
+
+def _order_column(term, basis, shift):
+    """First column of sum w * A_(shift -+ alpha) over the term's order pairs, coefficient 1."""
+    sign = -1.0 if term.sense == "derivative" else 1.0
+    col = np.zeros(basis.n_funcs)
+    for alpha, w in density_quadrature(term):
+        col += w * opmat.integration_matrix(shift + sign * alpha, basis).first_col
+    return col
 
 
 def term_operator(term, basis, param_values=None, shift=0.0):
@@ -228,56 +241,42 @@ def term_operator(term, basis, param_values=None, shift=0.0):
     derivative term and A_(shift + alpha) for an integral term; no
     column is ever inverted here.  shift must be at least every
     derivative order of the term, or integration_matrix rejects the
-    negative order (the default 0 suits integral and order-0 terms).  Point terms carry the coefficient inside the
-    quadrature pair; distributed terms multiply the quadrature-weighted
-    sum by the resolved coefficient.
+    negative order (the default 0 suits integral and order-0 terms).
+    The resolved coefficient multiplies the order-weighted sum.
     """
-    pairs = density_quadrature(term, param_values)
-    sign = -1.0 if term.sense == "derivative" else 1.0
-    col = np.zeros(basis.n_funcs)
-    for alpha, w in pairs:
-        col += w * opmat.integration_matrix(shift + sign * alpha, basis).first_col
-    if term.kind == "distributed":
-        col *= _resolve_coeff(term, param_values)
-    return opmat.OpMatrix(basis, col)
-
-
-def _unit_values(term):
-    """Parameter values binding a random coefficient to 1; None for a numeric one."""
-    return {term.coeff: 1.0} if isinstance(term.coeff, str) else None
+    return opmat.OpMatrix(basis, _resolve_coeff(term, param_values)
+                          * _order_column(term, basis, shift))
 
 
 def _integral_shift(sys):
     """Largest derivative order after the order quadrature, both sides; 0 if none."""
     return max((alpha for t in sys.lhs_terms + sys.rhs_terms if t.sense == "derivative"
-                for alpha, _ in density_quadrature(t, _unit_values(t))), default=0.0)
+                for alpha, _ in density_quadrature(t)), default=0.0)
 
 
 def _system_columns(sys, basis):
-    """(term, first column) per term of both sides: build once, bind per node.
+    """(term, order column) per term of both sides: build once, bind per node.
 
     Both sides are multiplied through by A_shift with the shift of
-    _integral_shift, so every column is an integration matrix.  A random
-    coefficient is set to 1: random parameters bind coefficients, never
-    orders, so these columns are the same at every parameter value, and
-    the unit is exact (0 + 1*x and x*1 round to x, and c*(1*x) to c*x),
-    so _bind reproduces term_operator's columns bit for bit.
+    _integral_shift, so every column is an integration matrix.  The
+    columns carry no coefficient (random parameters bind coefficients,
+    never orders), and _bind multiplies each by its coefficient exactly
+    as term_operator does, so the two agree bit for bit.
     """
     shift = _integral_shift(sys)
-    return tuple(tuple((t, term_operator(t, basis, _unit_values(t), shift).first_col)
-                       for t in terms)
+    return tuple(tuple((t, _order_column(t, basis, shift)) for t in terms)
                  for terms in (sys.lhs_terms, sys.rhs_terms))
 
 
 def _bind(columns, basis, param_values):
     """A_G = [sum LHS]^(-1) [sum RHS] from _system_columns: one inversion.
 
-    Each side is the sum of its term columns at the given parameter
-    values, in term order.
+    Each side is the sum, in term order, of its order columns times
+    their coefficients at the given parameter values.
     """
     n = basis.n_funcs
-    lhs, rhs = (sum((_resolve_coeff(t, param_values) * col if isinstance(t.coeff, str)
-                     else col for t, col in side_columns), np.zeros(n))
+    lhs, rhs = (sum((_resolve_coeff(t, param_values) * col for t, col in side_columns),
+                    np.zeros(n))
                 for side_columns in columns)
     if lhs[0] == 0.0:
         raise ValueError(
@@ -336,12 +335,7 @@ def system_from_dict(d):
     params = tuple(_param_from_dict(p) for p in d.get("random_params", []))
     lhs = tuple(t for t in parsed if t.side == "lhs")
     rhs = tuple(t for t in parsed if t.side == "rhs")
-    sysm = DOSystem(lhs, rhs, params)
-    bound = {p.name for p in params}
-    for t in parsed:
-        if isinstance(t.coeff, str) and t.coeff not in bound:
-            raise ValueError(f"term references unknown parameter {t.coeff!r}")
-    return sysm
+    return DOSystem(lhs, rhs, params)
 
 
 def _term_to_dict(t):

@@ -272,9 +272,8 @@ def _term_weights(terms, n, h):
     """
     out = []
     for t in terms:
-        pairs = [(t.order, 1.0)] if t.kind == "point" else density_quadrature(t)
         col = np.zeros(n)
-        for a_l, w_l in pairs:
+        for a_l, w_l in density_quadrature(t):
             s = a_l if t.sense == "derivative" else -a_l
             col += w_l * h ** (-s) * gl_weights(s, n)
         out.append((t, col))

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from dorder.cli import main
+from dorder.dosys import system_from_dict
+from dorder.oracles import steady_state_variance_frequency, variance_double_integrator
 
 
 INTEGRATOR = {
@@ -228,6 +230,18 @@ MALFORMED = {
     "impulse_integral_empty_window": (
         "solve", 1, _set("verify", "window", [6, 7]), ["--verify"]),
     "ml_variance_empty_window": ("stoch", 3, _set("verify", "window", [6, 7]), ["--verify"]),
+    # the white-noise references scale by the intensity q and cannot check
+    # other forcings, q = 0 or a system with random parameters
+    "ml_variance_sinc": ("stoch", 3, _set("forcing", "covariance", {"form": "sinc"}),
+                         ["--verify"]),
+    "ml_variance_zero_intensity": (
+        "stoch", 3, _set("forcing", "covariance", "intensity", 0.0), ["--verify"]),
+    "h2_plateau_sinc": ("stoch", 4, _set("forcing", "covariance", {"form": "sinc"}),
+                        ["--verify"]),
+    "h2_plateau_zero_intensity": (
+        "stoch", 4, _set("forcing", "covariance", "intensity", 0.0), ["--verify"]),
+    "h2_plateau_random_params": ("stoch", 5, lambda cfg: cfg.update(
+        forcing=_example(4)["forcing"], verify=_example(4)["verify"]), ["--verify"]),
 }
 
 
@@ -243,6 +257,27 @@ def test_malformed_config_exits_one_before_writing(workdir, capsys, case):
     assert main(argv + extra) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(os.listdir(workdir)) == ["case.json"]
+
+
+def test_h2_plateau_reference_scales_with_intensity(workdir):
+    cfg = _example(4)
+    cfg["forcing"]["covariance"]["intensity"] = 2.0
+    path = write_config(workdir, cfg)
+    assert main(["stoch", path, "--n-basis", "128", "--verify", "--output", "out.csv"]) == 0
+    report = json.loads((workdir / "out.manifest.json").read_text())["verify"]
+    unit = steady_state_variance_frequency(system_from_dict(cfg))
+    assert report["reference"] == 2.0 * unit
+    assert report["plateau"] > unit
+
+
+def test_ml_variance_reference_scales_with_intensity(workdir):
+    cfg = _example(3)
+    cfg["forcing"]["covariance"]["intensity"] = 2.0
+    cfg["verify"]["tol_rel"] = 0.05  # N=128 reads 3.0% at any intensity
+    path = write_config(workdir, cfg)
+    assert main(["stoch", path, "--n-basis", "128", "--verify", "--output", "out.csv"]) == 0
+    _, cols = read_csv(workdir / "out.csv")
+    assert cols["oracle_variance"][-1] == 2.0 * variance_double_integrator(cols["t"][-1])
 
 
 def test_relaxation_with_zero_rhs_coefficient_verifies(workdir):

@@ -72,21 +72,29 @@ def test_system_validation():
     p = RandomParameter("a", "uniform", lo=0.0, hi=1.0)
     with pytest.raises(ValueError, match="duplicate"):
         DOSystem((t,), (u,), (p, p))
+    # a named coefficient needs a random parameter of that name
+    with pytest.raises(ValueError, match="unknown parameter 'k'"):
+        DOSystem((lhs_point("k", 1.0),), (u,), (p,))
+    with pytest.raises(ValueError, match="unknown parameter 'a'"):
+        DOSystem((t,), (rhs_point("a", 0.0),))
 
 
 # ---------------------------------------------------------------------------
 # order quadrature
 
 def test_density_quadrature_point_is_sifted_pair():
+    # the coefficient stays out of a point pair, as of a distributed one
     t = lhs_point(2.5, 0.75)
-    assert density_quadrature(t) == [(0.75, 2.5)]
+    assert density_quadrature(t) == [(0.75, 1.0)]
 
 
-def test_density_quadrature_point_param_binding():
-    t = lhs_point("k", 1.0)
-    assert density_quadrature(t, {"k": 3.0}) == [(1.0, 3.0)]
-    with pytest.raises(ValueError, match="'k'"):
-        density_quadrature(t)
+def test_density_quadrature_ignores_the_coefficient():
+    # orders and weights do not depend on the coefficient, so a named
+    # one needs no value
+    for kw in ({"kind": "point", "order": 1.0},
+               {"kind": "distributed", "lower": 0.2, "upper": 0.9, "quad_points": 3}):
+        named = density_quadrature(DensityTerm("lhs", "derivative", "k", **kw))
+        assert named == density_quadrature(DensityTerm("lhs", "derivative", -3.0, **kw))
 
 
 def test_density_quadrature_constant_weights_sum_to_width():
@@ -160,8 +168,9 @@ def test_term_operator_shifts_to_integral_form():
 
 def test_integral_shift_is_largest_derivative_order():
     dist = DensityTerm("lhs", "derivative", "a", "distributed", lower=0.0, upper=1.0)
-    top = max(a for a, _ in density_quadrature(dist, {"a": 1.0}))
-    assert _integral_shift(DOSystem((dist,), (rhs_point(1.0, 0.0),))) == top
+    top = max(a for a, _ in density_quadrature(dist))
+    a = RandomParameter("a", "uniform", lo=0.5, hi=2.0)
+    assert _integral_shift(DOSystem((dist,), (rhs_point(1.0, 0.0),), (a,))) == top
     # both sides count; integral terms do not
     sysm = DOSystem((lhs_point(1.0, 0.3), lhs_point(1.0, 2.5, sense="integral")),
                     (rhs_point(1.0, 0.6),))

@@ -13,8 +13,7 @@ from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
 from dorder import opmat
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
-                          assemble_system_operator, system_from_dict, term_operator,
-                          _integral_shift)
+                          assemble_system_operator, system_from_dict, _system_columns)
 from dorder.stochsolve import (StochasticForcing, MomentResult, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
                                propagate_moments, variance_series)
@@ -172,7 +171,7 @@ def test_node_failure_names_node():
 
 
 def test_one_inversion_per_node(monkeypatch):
-    # ex5's term operators are integration matrices, built once per call
+    # ex5's order columns are integration matrices, built once per call
     # with no inversion; then each cubature node inverts only its own LHS
     with open(os.path.join(CONFIGS, "example5.json")) as fh:
         sysm = system_from_dict(json.load(fh))
@@ -185,9 +184,7 @@ def test_one_inversion_per_node(monkeypatch):
         return invert(m)
 
     monkeypatch.setattr(opmat, "invert_lower_toeplitz", counting)
-    shift = _integral_shift(sysm)
-    for t in sysm.lhs_terms + sysm.rhs_terms:
-        term_operator(t, b, {t.coeff: 1.0} if isinstance(t.coeff, str) else None, shift)
+    _system_columns(sysm, b)
     assert calls == []
     grid = tensor_cubature(sysm.random_params)
     f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
