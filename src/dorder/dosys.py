@@ -283,7 +283,7 @@ def _bind(columns, basis, param_values):
             f"singular LHS while assembling system with terms "
             f"{tuple(t for t, _ in columns[0])}: leading first-column entry is zero")
     inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS"))
-    return opmat.OpMatrix(basis, np.convolve(inv.first_col, rhs)[:n], label="A_G")
+    return opmat.OpMatrix(basis, opmat.truncated_product(inv.first_col, rhs), label="A_G")
 
 
 def assemble_system_operator(sys, basis, param_values=None):

@@ -19,8 +19,8 @@ from .bpf import BpfBasis, SpectralVector
 
 __all__ = [
     "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",
-    "invert_lower_toeplitz", "identity_matrix", "apply", "compose",
-    "add", "scale", "to_dense",
+    "invert_lower_toeplitz", "identity_matrix", "truncated_product", "apply",
+    "compose", "add", "scale", "to_dense",
 ]
 
 
@@ -147,6 +147,16 @@ def invert_lower_toeplitz(m):
     return OpMatrix(m.basis, g, label=f"inv({m.label})" if m.label else "")
 
 
+def truncated_product(a, b):
+    """First len(a) entries of the convolution of two first columns.
+
+    This is the ring product of lower-triangular Toeplitz matrices, and
+    the action of one on a coefficient vector; every product of the
+    package goes through it.
+    """
+    return np.convolve(a, b)[:a.shape[0]]
+
+
 def apply(m, v):
     """Matrix-vector product M @ v on spectral coefficients.
 
@@ -154,8 +164,7 @@ def apply(m, v):
     the first column with the coefficient vector.
     """
     _require_same_basis(m, v)
-    n = m.basis.n_funcs
-    return SpectralVector(m.basis, np.convolve(m.first_col, v.coeffs)[:n])
+    return SpectralVector(m.basis, truncated_product(m.first_col, v.coeffs))
 
 
 def compose(a, b):
@@ -164,9 +173,7 @@ def compose(a, b):
     Convolution commutes, so compose(a, b) == compose(b, a) exactly.
     """
     _require_same_basis(a, b)
-    n = a.basis.n_funcs
-    col = np.convolve(a.first_col, b.first_col)[:n]
-    return OpMatrix(a.basis, col)
+    return OpMatrix(a.basis, truncated_product(a.first_col, b.first_col))
 
 
 def add(a, b):
