@@ -26,7 +26,7 @@ from .bpf import (make_basis, project_function, project_bivariate,
 from .dosys import system_from_dict, system_to_dict
 from .detsolve import solve, solve_ivp_shifted, _relaxation_form
 from .stochsolve import (StochasticForcing, tensor_cubature,
-                         propagate_moments, variance_series, _rank_rtol)
+                         propagate_moments, _rank_rtol)
 from . import oracles
 
 SCHEMA_VERSION = 1
@@ -82,6 +82,14 @@ def _resolve_horizon(cfg, args):
     return h
 
 
+def _finite(spec, key, default):
+    """spec[key], or default when absent, as a finite float; ConfigError if not finite."""
+    v = float(spec.get(key, default))
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return v
+
+
 def _table_fn(spec, xkey, ykey):
     x = np.asarray(spec[xkey], dtype=float)
     y = np.asarray(spec[ykey], dtype=float)
@@ -96,7 +104,7 @@ def _signal_fn(spec, what, default, forms="constant|table"):
     """constant|table block -> callable of time."""
     form = spec.get("form")
     if form == "constant":
-        value = float(spec.get("value", default))
+        value = _finite(spec, "value", default)
         return lambda t: np.full_like(np.asarray(t, dtype=float), value)
     if form == "table":
         return _table_fn(spec, "t", "u")
@@ -115,13 +123,13 @@ def _kernel_fn(spec):
     """Covariance block -> (kernel callable or None, white intensity or None)."""
     form = spec.get("form")
     if form == "white":
-        q = float(spec.get("intensity", 1.0))
+        q = _finite(spec, "intensity", 1.0)
         if q < 0:
             raise ConfigError(f"white intensity must be nonnegative, got {q!r}")
         return None, q
     if form == "sinc":
-        var = float(spec.get("variance", 1.0))
-        width = float(spec.get("width", 2.0 * math.pi))
+        var = _finite(spec, "variance", 1.0)
+        width = _finite(spec, "width", 2.0 * math.pi)
         if var < 0 or width <= 0:
             raise ConfigError("sinc covariance needs variance >= 0 and width > 0")
         return (lambda t1, t2: var * np.sinc((t1 - t2) / width)), None
@@ -168,17 +176,26 @@ def _atomic_write(path, text):
         raise
 
 
+def _csv_cells(col):
+    """repr of each value of an array or list column, blank for None."""
+    if isinstance(col, np.ndarray):
+        return list(map(repr, col.astype(float, copy=False).tolist()))
+    return ["" if v is None else repr(float(v)) for v in col]
+
+
 def _csv_text(header, columns):
     """Locale-independent CSV: dot decimal, LF endings, blank for None."""
-    lines = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        cells = []
-        for col in columns:
-            v = col[i]
-            cells.append("" if v is None else repr(float(v)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = zip(*map(_csv_cells, columns))
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+
+
+def _require_finite(columns):
+    """Raise FloatingPointError if a named column holds a non-finite value (None is blank)."""
+    for name, col in columns:
+        if not isinstance(col, np.ndarray):
+            col = np.array([v for v in col if v is not None], dtype=float)
+        if not np.isfinite(col).all():
+            raise FloatingPointError(f"result column {name!r} holds non-finite values")
 
 
 def _default_output(config_path, command):
@@ -269,7 +286,7 @@ def _gl_check(spec, march, horizon, times, u_fn, y0):
         worst = float(np.max(err))
         report = {"kind": "gl_stepper", "n_grid": n_grid, "tol_abs": tol,
                   "max_abs_error": worst, "pass": bool(worst <= tol)}
-        return report, [("oracle", list(ref)), ("abs_error", list(err))]
+        return report, [("oracle", ref), ("abs_error", err)]
 
     return check
 
@@ -319,7 +336,7 @@ def _refinement_check(spec, sysm, basis):
 
     def check(variance, mean, forcing):
         r = propagate_moments(bumped, basis, forcing, grid)
-        v = np.array([vi for _, vi in variance_series(r, basis.midpoints())])
+        v = r.variance.coeffs
         dm = float(np.max(np.abs(r.mean.coeffs - mean)) / max(np.max(np.abs(mean)), 1e-300))
         dv = float(np.max(np.abs(v - variance)) / max(np.max(np.abs(variance)), 1e-300))
         report = {"kind": "colloc_refinement", "tol_rel": tol,
@@ -361,7 +378,7 @@ def _prepare_solve(cfg, sysm, horizon, args):
     basis = make_basis(args.n_basis, horizon)
     times = basis.midpoints()
     u_fn = _input_fn(cfg)
-    y0 = float(cfg.get("initial", 0.0))
+    y0 = _finite(cfg, "initial", 0.0)
     # the shifted solve marches x = y - y0 from rest under b u - c y0;
     # its shape and y0 are checked here, so a wrong one is a config error
     march = _relaxation_form(sysm, y0) if "initial" in cfg else (sysm, 1.0, 0.0)
@@ -404,7 +421,8 @@ def _prepare_stoch(cfg, sysm, horizon, args):
             cov_sm = project_bivariate(kernel, basis)
         forcing = StochasticForcing(mean_sv, cov_sm)
         r = propagate_moments(sysm, basis, forcing)
-        variance = np.array([v for _, v in variance_series(r, times)])
+        # a block midpoint reconstructs to its own coefficient
+        variance = r.variance.coeffs
         columns = [("t", times), ("mean", r.mean.coeffs), ("variance", variance)]
         diagnostics = {
             "covariance_rank": forcing.rank,
@@ -446,7 +464,8 @@ def _run(args):
     1. Prepare: load the config, build the system, resolve the horizon,
        and let the command read everything else.  Any error exits 1
        before any numeric work, and nothing is written.
-    2. Compute: any failure exits 2, and nothing is written.
+    2. Compute: any failure, or a non-finite value in a result column,
+       exits 2, and nothing is written.
     3. Write the CSV and the manifest; a failed verification exits 3.
     """
     try:
@@ -458,11 +477,12 @@ def _run(args):
         return _fail(1, e)
     try:
         columns, verdict, diagnostics = run()
+        report, extra = verdict or (None, [])
+        columns += extra
+        _require_finite(columns)
     except Exception as e:
         return _fail(2, e)
 
-    report, extra = verdict or (None, [])
-    columns += extra
     output = args.output or _default_output(args.config, args.command)
     resolved = {"horizon": horizon, "output": output}
     flags = {k: resolved.get(k, getattr(args, k)) for k in args.flags}
@@ -472,7 +492,7 @@ def _run(args):
     if report is not None:
         manifest["verify"] = report
     _write_outputs(output, [name for name, _ in columns],
-                   [list(col) for _, col in columns], manifest)
+                   [col for _, col in columns], manifest)
     if report is not None and not report["pass"]:
         print(f"verification FAILED: {json.dumps(report)}", file=sys.stderr)
         return 3

@@ -5,6 +5,13 @@ value problems of relaxation type are handled by the constant shift
 y = x + y0: derivatives of the constant vanish under the zero-initial
 condition convention, so x solves the LHS with a unit identity RHS
 under the forcing b u - c y0 from x(0) = 0, through the same solve.
+
+A solve costs one inversion of the integral-form LHS column and two
+truncated products (opmat).  Up to 512 blocks these are the direct
+recurrence and convolutions, O(N^2); above that a Newton inverse
+certified by its residual and FFT products, O(N log N).  An impulse
+input, or an LHS that is a multiple of the identity, is a scaled unit
+column, and its product is exact.
 """
 
 import numpy as np
@@ -76,8 +83,8 @@ def solve_ivp_shifted(sys, y0, forcing):
 
     which is a plain solve of the LHS with a unit identity RHS, so it
     takes solve's path: one inversion of the integral-form LHS column,
-    then two length-N products.  The returned coefficients are those of
-    y = x + y0.
+    then two length-N products, each O(N log N) above 512 blocks.  The
+    returned coefficients are those of y = x + y0.
 
     Parameters
     ----------

@@ -7,11 +7,22 @@ builds it, see dosys).  Lower-triangular
 Toeplitz matrices over a fixed basis form a commutative ring, so every
 matrix here is stored by its first column only and all algebra
 (products, sums, inverses) happens on first columns.
+
+Every product is one truncated convolution, truncated_product.  An
+operand that is a scaled unit column c e_0 gives c times the other
+exactly, in O(N), so a result that is exact in exact arithmetic (an
+identity LHS, an impulse input) stays exact.  Otherwise columns of up
+to _FFT_MIN_N entries are convolved directly, and longer ones by a
+real FFT in O(N log N).  The inverse follows the same crossover: up to
+_FFT_MIN_N entries the forward recurrence, above it a Newton iteration
+whose every result is certified by its residual f*g - e_0, with the
+recurrence as the fallback when the certificate fails.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as _fft
 from scipy.linalg import toeplitz
 from scipy.special import gamma as _gamma
 
@@ -22,6 +33,19 @@ __all__ = [
     "invert_lower_toeplitz", "identity_matrix", "truncated_product", "apply",
     "compose", "add", "scale", "to_dense",
 ]
+
+
+# Longest column on the direct paths.  Measured warm on one core at
+# N = 512: np.convolve 0.042 ms vs the FFT product 0.038 ms, and the
+# recurrence 0.70 ms vs the Newton inverse 0.58 ms.  Keeping N = 512
+# itself direct leaves its results bit-identical to the direct paths.
+_FFT_MIN_N = 512
+# Largest accepted max|f*g - e_0| of a Newton inverse.  Since
+# g - f^(-1) = -f^(-1) * (f*g - e_0), the error of g is at most
+# ||f^(-1)||_1 times this.  Integral-form LHS columns of ex2 and ex5 at
+# N = 2048..32768 measure 0.9e-16 to 2.2e-16; a growing column such as
+# A_1.5's inverse reads 1e-9 at N = 16 and 3e8 at N = 64.
+_RESIDUAL_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +142,35 @@ def identity_matrix(basis):
 def invert_lower_toeplitz(m):
     """Invert a lower-triangular Toeplitz matrix on its first column.
 
-    Forward recurrence: g_0 = 1/f_0, g_k = -(1/f_0) sum_{j=1..k} f_j g_{k-j}.
-    Cost O(N^2); exact division structure, no pivoting.
+    Columns of up to _FFT_MIN_N entries, and any column whose Newton
+    inverse fails its certificate, take the forward recurrence
+
+        g_0 = 1/f_0,  g_k = -(1/f_0) sum_{j=1..k} f_j g_{k-j},
+
+    at cost O(N^2), with exact division structure and no pivoting.
+    Longer columns take the Newton iteration of _newton_inverse, at
+    cost O(N log N), kept only when max|f*g - e_0| <= _RESIDUAL_TOL.
+    A column whose inverse grows geometrically fails that certificate,
+    and the recurrence then overflows loudly rather than returning
+    garbage.
+    """
+    f = m.first_col
+    if f[0] == 0.0:
+        raise ValueError(f"matrix {m.label or '(unlabeled)'} is singular: "
+                         "leading first-column entry is zero")
+    n = f.shape[0]
+    g = _newton_inverse(f) if n > _FFT_MIN_N else None
+    if g is None:
+        g = _recurrence_inverse(f)
+    if not np.isfinite(g).all():
+        raise RuntimeError(
+            f"inverse of {m.label or '(unlabeled)'} overflowed double precision "
+            f"at N={n}; the inverse column grows geometrically for this operator")
+    return OpMatrix(m.basis, g, label=f"inv({m.label})" if m.label else "")
+
+
+def _recurrence_inverse(f):
+    """Forward recurrence for the inverse column of f, f_0 != 0.
 
     The sum pairs f_1..f_k with g_{k-1}..g_0, i.e. g read backwards.  A
     negative-stride view of g would be copied before every BLAS dot, so
@@ -129,32 +180,70 @@ def invert_lower_toeplitz(m):
     are those of the plain recurrence on a reversed view of g, so the
     column matches it bit for bit.
     """
-    f = m.first_col
-    if f[0] == 0.0:
-        raise ValueError(f"matrix {m.label or '(unlabeled)'} is singular: "
-                         "leading first-column entry is zero")
     n = f.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         rev = np.zeros(n)
         rev[n - 1] = 1.0 / f[0]
         for k in range(1, n):
             rev[n - 1 - k] = -np.dot(f[1:k + 1], rev[n - k:]) / f[0]
-    g = rev[::-1].copy()
-    if not np.isfinite(g).all():
-        raise RuntimeError(
-            f"inverse of {m.label or '(unlabeled)'} overflowed double precision "
-            f"at N={n}; the inverse column grows geometrically for this operator")
-    return OpMatrix(m.basis, g, label=f"inv({m.label})" if m.label else "")
+    return rev[::-1].copy()
+
+
+def _newton_inverse(f):
+    """Certified Newton inverse of the column f, f_0 != 0, or None.
+
+    Newton's iteration for a power series inverse (Brent & Kung,
+    J. ACM 25(4), 1978) with length doubling: when g holds the first m
+    entries of f^(-1), f*g = e_0 + r with r zero below entry m, and the
+    entries m..2m-1 of f^(-1) are those of -g*r.  The first entry is
+    1/f_0 and no entry is changed once written.  The result is returned
+    only when max|f*g - e_0| <= _RESIDUAL_TOL; None (also for
+    non-finite entries) asks the caller for the recurrence.
+    """
+    n = f.shape[0]
+    g = np.zeros(n)
+    g[0] = 1.0 / f[0]
+    m = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < n:
+            k = min(2 * m, n)
+            r = truncated_product(f[:k], g[:k])[m:]
+            g[m:k] = -truncated_product(g[:k - m], r)
+            m = k
+        res = truncated_product(f, g)
+        res[0] -= 1.0
+        certified = np.max(np.abs(res)) <= _RESIDUAL_TOL
+    return g if certified else None
 
 
 def truncated_product(a, b):
-    """First len(a) entries of the convolution of two first columns.
+    """First N entries of the convolution of two length-N columns.
 
     This is the ring product of lower-triangular Toeplitz matrices, and
     the action of one on a coefficient vector; every product of the
-    package goes through it.
+    package goes through it.  A scaled unit column c e_0 on either side
+    returns c times the other, exactly and in O(N).  Otherwise N up to
+    _FFT_MIN_N convolves directly, and longer columns by _fft_product.
     """
-    return np.convolve(a, b)[:a.shape[0]]
+    if not a[1:].any():
+        return a[0] * b
+    if not b[1:].any():
+        return b[0] * a
+    if a.shape[0] <= _FFT_MIN_N:
+        return np.convolve(a, b)[:a.shape[0]]
+    return _fft_product(a, b)
+
+
+def _fft_product(a, b):
+    """First N entries of the convolution of two length-N columns by real FFT.
+
+    The transform length is at least 2N - 1, so no entry wraps around.
+    The error of each entry is a rounding error of the whole product,
+    about eps max|a| max|b| N, not of that entry.
+    """
+    n = a.shape[0]
+    size = _fft.next_fast_len(2 * n - 1, real=True)
+    return _fft.irfft(_fft.rfft(a, size) * _fft.rfft(b, size), size)[:n]
 
 
 def apply(m, v):

@@ -379,8 +379,10 @@ class ForcingModel:
     def __post_init__(self):
         if self.kernel is not None and self.white_intensity is not None:
             raise ValueError("kernel and white_intensity are mutually exclusive")
-        if self.white_intensity is not None and self.white_intensity < 0:
-            raise ValueError("white_intensity must be nonnegative")
+        if self.white_intensity is not None and not (
+                math.isfinite(self.white_intensity) and self.white_intensity >= 0):
+            raise ValueError(
+                f"white_intensity must be finite and nonnegative, got {self.white_intensity!r}")
 
     def mean_values(self, t):
         return _mean_values(self.mean_fn, t)

@@ -17,8 +17,9 @@ ordering moves results only at roundoff.
 
 Random parameters bind coefficients, never orders, so every term's
 integral-form column is built once per propagate_moments call.  Each node
-then costs one O(N^2) Toeplitz inversion of its LHS plus the variance
-convolution, in one pass that yields both moments.
+then costs one Toeplitz inversion of its LHS and one product A_j mu
+(O(N^2) up to 512 blocks, O(N log N) above, see opmat) plus the
+variance convolution, in one pass that yields both moments.
 
 The input covariance is factored once, C_kUU = F F^T, when the forcing
 is built.  A diagonal covariance (white noise) is its own factor; any
@@ -135,7 +136,11 @@ class MomentResult:
 
 @dataclass(frozen=True, eq=False)
 class CubatureGrid:
-    """Flattened tensor cubature: parameter maps and matching weights."""
+    """Flattened tensor cubature: parameter maps and matching weights.
+
+    The weights must be non-negative: propagate_moments' variance is a
+    weighted sum of squares, and only non-negative weights keep it so.
+    """
 
     nodes: tuple
     weights: np.ndarray = field(repr=False)
@@ -144,6 +149,8 @@ class CubatureGrid:
         w = np.asarray(self.weights, dtype=float)
         if len(self.nodes) != w.shape[0]:
             raise ValueError("node and weight counts differ")
+        if not (w >= 0).all():
+            raise ValueError(f"cubature weights must be non-negative, got min {w.min()!r}")
         object.__setattr__(self, "weights", w)
 
     def __len__(self):
@@ -213,8 +220,8 @@ def _node_moments(sys, basis, grid, forcing):
     C = F F^T the diagonal is rowsum((A_j F)^2): one truncated FFT
     convolution of A_j's first column down the r columns of F,
     O(r N log N).  For a diagonal C = diag(d) it is the direct
-    convolution of a^2 with d, O(N^2).  Both are sums of squares or of
-    non-negative products.
+    convolution of a^2 with d, O(N^2), at every N.  Both are sums of
+    squares or of non-negative products.
     """
     columns = _system_columns(sys, basis)
     fac = forcing._factor
@@ -228,6 +235,8 @@ def _node_moments(sys, basis, grid, forcing):
             raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
         a_mu.append(truncated_product(a, mu))
         if fac.ndim == 1:
+            # kept direct: an FFT product of these non-negative columns
+            # can return tiny negative variances
             var.append(np.convolve(a * a, fac)[:n])
         else:
             af = fftconvolve(a[:, None], fac, axes=0)[:n]
@@ -274,7 +283,7 @@ def variance_series(r, times):
     """Output variance at the given times.
 
     Negative values are clamped to zero (logged).  propagate_moments
-    returns none on a grid with non-negative weights, but any
+    returns none, since CubatureGrid weights are non-negative, but any
     MomentResult is accepted here.
     """
     out = []

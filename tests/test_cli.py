@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from dorder import cli
 from dorder.cli import main
 from dorder.dosys import system_from_dict
 from dorder.oracles import steady_state_variance_frequency, variance_double_integrator
@@ -242,6 +243,25 @@ MALFORMED = {
         "stoch", 4, _set("forcing", "covariance", "intensity", 0.0), ["--verify"]),
     "h2_plateau_random_params": ("stoch", 5, lambda cfg: cfg.update(
         forcing=_example(4)["forcing"], verify=_example(4)["verify"]), ["--verify"]),
+    # NaN and Infinity, which JSON readers accept, are config errors
+    "white_intensity_nan_stoch": (
+        "stoch", 4, _set("forcing", "covariance", "intensity", math.nan), []),
+    "white_intensity_infinite_stoch": (
+        "stoch", 4, _set("forcing", "covariance", "intensity", math.inf), []),
+    "white_intensity_nan_mc": (
+        "mc", 4, _set("forcing", "covariance", "intensity", math.nan), MC_SMALL),
+    "white_intensity_infinite_mc": (
+        "mc", 4, _set("forcing", "covariance", "intensity", math.inf), MC_SMALL),
+    "sinc_variance_nan": ("stoch", 5, _set("forcing", "covariance", "variance", math.nan), []),
+    "sinc_variance_infinite_mc": (
+        "mc", 5, _set("forcing", "covariance", "variance", math.inf), MC_SMALL),
+    "sinc_width_nan": ("stoch", 5, _set("forcing", "covariance", "width", math.nan), []),
+    "sinc_width_infinite": ("stoch", 5, _set("forcing", "covariance", "width", math.inf), []),
+    "mean_value_nan": ("stoch", 4, _set("forcing", "mean", "value", math.nan), []),
+    "mean_value_infinite_mc": ("mc", 4, _set("forcing", "mean", "value", -math.inf), MC_SMALL),
+    "input_value_nan": ("solve", 2, _set("input", "value", math.nan), []),
+    "input_value_infinite": ("solve", 2, _set("input", "value", math.inf), []),
+    "initial_nan": ("solve", 2, _set("initial", math.nan), []),
 }
 
 
@@ -292,6 +312,44 @@ def test_relaxation_with_zero_rhs_coefficient_verifies(workdir):
                      "--output", f"b{b:g}.csv"]) == 0
     # the input is 0, so b multiplies nothing: both runs give the same y
     assert read_csv(workdir / "b0.csv")[1]["y"] == read_csv(workdir / "b1.csv")[1]["y"]
+
+
+def test_non_finite_result_is_exit_two(workdir, capsys):
+    # integrating a finite input of 1e308 up to t = 2 overflows: no inf
+    # or NaN cell is ever written
+    cfg = json.loads(json.dumps(INTEGRATOR))
+    cfg["input"]["value"] = 1e308
+    path = write_config(workdir, cfg)
+    assert main(["solve", path, "--n-basis", "16", "--output", "out.csv"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["case.json"]
+
+
+def old_csv_text(header, columns):
+    # the formatter the CSV output must stay byte-identical to
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join("" if col[i] is None else repr(float(col[i]))
+                              for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("example, command", [
+    (1, "solve"), (2, "solve"), (3, "stoch"), (4, "stoch"), (5, "stoch")])
+def test_csv_bytes_match_the_elementwise_formatter(workdir, monkeypatch, example, command):
+    seen = []
+    new = cli._csv_text
+
+    def record(header, columns):
+        seen.append(old_csv_text(header, columns))
+        return new(header, columns)
+
+    monkeypatch.setattr(cli, "_csv_text", record)
+    path = write_config(workdir, _example(example))
+    assert main([command, path, "--n-basis", "16", "--verify", "--output", "out.csv"]) in (0, 3)
+    assert (workdir / "out.csv").read_text(encoding="utf-8") == seen[0]
+    if example == 1:  # the impulse window leaves blank cells before 0.2
+        assert ",," in seen[0] or ",\n" in seen[0]
 
 
 def test_solver_failure_is_exit_two(workdir, capsys):

@@ -2,18 +2,21 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dorder import opmat
 from dorder.bpf import make_basis, SpectralVector
 from dorder.dosys import system_from_dict, term_operator, _integral_shift
 from dorder.stochsolve import tensor_cubature
 from dorder.opmat import (OpMatrix, gamma_fn, integration_matrix,
                           derivative_matrix, identity_matrix,
                           invert_lower_toeplitz, apply, compose, add, scale,
-                          to_dense)
+                          to_dense, truncated_product, _fft_product,
+                          _newton_inverse, _recurrence_inverse)
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -171,24 +174,124 @@ def config_lhs(name, n, node_index=None):
 
 
 # Measured max error relative to max|g| (x86-64 OpenBLAS, 80-bit long
-# double); each bound allows 10x headroom over its measurement.  The
-# config columns are in integral form, as assembly builds them.
+# double); each bound allows 10x headroom over the recurrence's
+# measurement.  The config columns are in integral form, as assembly
+# builds them.  N = 2048 and 8192 take the certified Newton inverse;
+# the recurrence measured 8.6e-17, 5.9e-17 and 1.1e-17 on those three.
 @pytest.mark.parametrize("build, measured, bound", [
     # ex2's distributed relaxation times A_0.887: the column peaks at 0.24
-    # in entry 0, the inverse at 4.2
+    # in entry 0, the inverse at 4.2 (4.8 at N=8192)
     (lambda: config_lhs("example2.json", 2048), 8.6e-17, 9e-16),
-    (lambda: integration_matrix(0.5, make_basis(2048, 1.0)), 5.9e-17, 6e-16),
+    (lambda: config_lhs("example2.json", 8192), 9.2e-17, 1e-15),
+    (lambda: integration_matrix(0.5, make_basis(2048, 1.0)), 1.2e-16, 6e-16),
     # ex5's order-2 LHS times A_2: the column peaks at 1.01 in entry 0 and
     # its inverse at 0.99
     (lambda: config_lhs("example5.json", 128, node_index=0), 5.6e-17, 6e-16),
     (lambda: config_lhs("example5.json", 512, node_index=0), 4.6e-17, 5e-16),
-], ids=["ex2_lhs_n2048", "A_0.5_n2048", "ex5_lhs_node0_n128", "ex5_lhs_node0_n512"])
+], ids=["ex2_lhs_n2048", "ex2_lhs_n8192", "A_0.5_n2048", "ex5_lhs_node0_n128",
+        "ex5_lhs_node0_n512"])
 def test_invert_graded_against_long_double(build, measured, bound):
     m = build()
     g = invert_lower_toeplitz(m).first_col
     ref = long_double_inverse(m.first_col)
     err = float(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
     assert err <= bound, f"relative error {err:.2e} (measured {measured:.1e})"
+
+
+# ---------------------------------------------------------------------------
+# the FFT product and the Newton inverse, called below the crossover
+
+def fft_everywhere():
+    """Every product and inverse takes its O(N log N) path, at any N."""
+    return mock.patch.object(opmat, "_FFT_MIN_N", 0)
+
+
+def product_tol(a, b):
+    return 1e-14 * np.abs(a).max() * np.abs(b).max() * a.size
+
+
+def columns(n, seed, count):
+    """Columns of random sign and magnitude, spanning 2**+-20 in scale."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(n) * 2.0 ** rng.uniform(-20, 20) for _ in range(count)]
+
+
+def decaying_column(n, seed):
+    """f with sum_(k>0) |f_k| = f_0 / 2: its inverse column is bounded by 2 / f_0."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(n) / np.arange(1, n + 1)
+    f[0] = rng.uniform(0.5, 2.0)
+    if n > 1 and np.abs(f[1:]).sum() > 0:
+        f[1:] *= 0.5 * f[0] / np.abs(f[1:]).sum()
+    return f
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 128), st.integers(0, 2 ** 32 - 1))
+def test_fft_product_matches_direct_convolution(n, seed):
+    a, b = columns(n, seed, 2)
+    direct = np.convolve(a, b)[:n]
+    assert np.max(np.abs(_fft_product(a, b) - direct)) <= product_tol(a, b)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 128), st.integers(1, 128), st.integers(0, 2 ** 32 - 1))
+def test_fft_product_is_causal(n, prefix, seed):
+    # the first p outputs depend only on the first p inputs, up to rounding
+    a, b, tail_a, tail_b = columns(n, seed, 4)
+    p = min(prefix, n)
+    a2 = np.concatenate([a[:p], tail_a[p:]])
+    b2 = np.concatenate([b[:p], tail_b[p:]])
+    tol = product_tol(a, b) + product_tol(a2, b2)
+    assert np.max(np.abs(_fft_product(a, b)[:p] - _fft_product(a2, b2)[:p])) <= tol
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([1, 2, 7, 64, 512, 513, 2048]),
+       st.floats(1e-3, 1e3), st.sampled_from([-1.0, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_scaled_unit_column_product_is_exact(n, c, sign, seed):
+    c *= sign
+    (b,) = columns(n, seed, 1)
+    e = np.zeros(n)
+    e[0] = c
+    assert np.array_equal(truncated_product(e, b), c * b)
+    assert np.array_equal(truncated_product(b, e), c * b)
+    with fft_everywhere():
+        assert np.array_equal(truncated_product(e, b), c * b)
+        inv = invert_lower_toeplitz(OpMatrix(make_basis(n, 1.0), e)).first_col
+    assert inv[0] == 1.0 / c and not inv[1:].any()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 128), st.integers(0, 2 ** 32 - 1))
+def test_newton_inverse_matches_recurrence(n, seed):
+    f = decaying_column(n, seed)
+    loop = _recurrence_inverse(f)
+    with fft_everywhere():
+        g = _newton_inverse(f)
+    assert g is not None
+    assert np.max(np.abs(g - loop)) <= 1e-13 * np.abs(loop).max()
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 128), st.integers(1, 128), st.integers(0, 2 ** 32 - 1))
+def test_newton_inverse_is_causal(n, prefix, seed):
+    f, other = decaying_column(n, seed), decaying_column(n, seed + 1)
+    p = min(prefix, n)
+    f2 = np.concatenate([f[:p], other[p:] * f[0] / other[0]])
+    with fft_everywhere():
+        g, g2 = _newton_inverse(f), _newton_inverse(f2)
+    assert np.max(np.abs(g[:p] - g2[:p])) <= 1e-13 * np.abs(g).max()
+
+
+def test_certificate_rejects_growing_inverse_and_falls_back():
+    # the inverse column of A_1.5 grows to 3e23 by N=64; the Newton
+    # residual then reads 3e8, and the recurrence gives the column
+    m = integration_matrix(1.5, make_basis(64, 1.0))
+    with fft_everywhere():
+        assert _newton_inverse(m.first_col) is None
+        g = invert_lower_toeplitz(m).first_col
+    assert np.array_equal(g, negative_stride_inverse(m.first_col))
 
 
 def test_apply_equals_dense_matvec():

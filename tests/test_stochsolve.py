@@ -85,6 +85,14 @@ def test_tensor_cubature_rejects_empty():
         tensor_cubature(())
 
 
+def test_cubature_grid_rejects_negative_weights():
+    # a negative weight could make the centred variance negative
+    with pytest.raises(ValueError, match="non-negative"):
+        CubatureGrid(({"k": 0.0}, {"k": 1.0}), np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="non-negative"):
+        CubatureGrid(({"k": 0.0},), np.array([np.nan]))
+
+
 # ---------------------------------------------------------------------------
 # expectations over the cubature grid
 
