@@ -35,10 +35,11 @@ __all__ = [
 ]
 
 
-# Longest column on the direct paths.  Measured warm on one core at
-# N = 512: np.convolve 0.042 ms vs the FFT product 0.038 ms, and the
-# recurrence 0.70 ms vs the Newton inverse 0.58 ms.  Keeping N = 512
-# itself direct leaves its results bit-identical to the direct paths.
+# Longest column on the direct paths: where the two products cost the
+# same (warm, one core, N = 512: np.convolve 0.058 ms, the FFT product
+# 0.055 ms).  The inverse switches at the same N although Newton is
+# cheaper from N = 256 (N = 512: recurrence 1.2 ms, Newton 0.40 ms), so
+# every result at N <= 512 stays bit-identical to the direct paths.
 _FFT_MIN_N = 512
 # Largest accepted max|f*g - e_0| of a Newton inverse.  Since
 # g - f^(-1) = -f^(-1) * (f*g - e_0), the error of g is at most
@@ -150,8 +151,9 @@ def invert_lower_toeplitz(m):
     at cost O(N^2), with exact division structure and no pivoting.
     Longer columns take the Newton iteration of _newton_inverse, at
     cost O(N log N), kept only when max|f*g - e_0| <= _RESIDUAL_TOL.
-    A column whose inverse grows geometrically fails that certificate,
-    and the recurrence then overflows loudly rather than returning
+    A geometrically growing inverse, such as that of A_1.5, fails the
+    certificate within a few dozen entries, so the recurrence still
+    overflows loudly where it leaves double range instead of returning
     garbage.
     """
     f = m.first_col
