@@ -177,14 +177,18 @@ def _atomic_write(path, text):
 
 
 def _csv_cells(col):
-    """repr of each value of an array or list column, blank for None."""
+    """Iterator over the repr of each value of an array or list column, blank for None."""
     if isinstance(col, np.ndarray):
-        return list(map(repr, col.astype(float, copy=False).tolist()))
-    return ["" if v is None else repr(float(v)) for v in col]
+        return map(repr, col.astype(float, copy=False).tolist())
+    return ("" if v is None else repr(float(v)) for v in col)
 
 
 def _csv_text(header, columns):
-    """Locale-independent CSV: dot decimal, LF endings, blank for None."""
+    """Locale-independent CSV: dot decimal, LF endings, blank for None.
+
+    Cells are formatted a row at a time, so only one row of cell
+    strings is alive at once.
+    """
     rows = zip(*map(_csv_cells, columns))
     return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
 
