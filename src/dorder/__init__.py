@@ -31,8 +31,6 @@ from .opmat import (
     identity_matrix,
     apply,
     compose,
-    add,
-    scale,
     to_dense,
 )
 from .dosys import (
@@ -53,7 +51,6 @@ from .stochsolve import (
     parameter_quadrature,
     tensor_cubature,
     propagate_moments,
-    variance_series,
 )
 from . import oracles
 
@@ -64,13 +61,12 @@ __all__ = [
     "white_noise_covariance",
     "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",
     "invert_lower_toeplitz", "identity_matrix", "apply", "compose",
-    "add", "scale", "to_dense",
+    "to_dense",
     "DensityTerm", "RandomParameter", "DOSystem",
     "density_quadrature", "term_operator", "assemble_system_operator",
     "system_from_dict", "system_to_dict",
     "solve", "solve_ivp_shifted", "impulse_response",
     "StochasticForcing", "MomentResult", "CubatureGrid",
     "parameter_quadrature", "tensor_cubature", "propagate_moments",
-    "variance_series",
     "oracles",
 ]

@@ -82,18 +82,21 @@ def _resolve_horizon(cfg, args):
     return h
 
 
-def _finite(spec, key, default):
-    """spec[key], or default when absent, as a finite float; ConfigError if not finite."""
-    v = float(spec.get(key, default))
-    if not math.isfinite(v):
-        raise ConfigError(f"{key} must be finite, got {v!r}")
-    return v
+def _finite(spec, key, default, ndim=0):
+    """spec[key], or default when absent, as a finite float, or for ndim > 0
+    as a float array of that many dimensions; ConfigError if not."""
+    v = np.asarray(spec.get(key, default), dtype=float)
+    if v.ndim != ndim:
+        raise ConfigError(f"{key} must have {ndim} dimension(s), got {v.ndim}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{key} must be finite, got {v.tolist()!r}")
+    return float(v) if ndim == 0 else v
 
 
 def _table_fn(spec, xkey, ykey):
-    x = np.asarray(spec[xkey], dtype=float)
-    y = np.asarray(spec[ykey], dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+    x = _finite(spec, xkey, None, 1)
+    y = _finite(spec, ykey, None, 1)
+    if x.shape != y.shape or x.size < 2:
         raise ConfigError(f"table needs matching 1-D '{xkey}'/'{ykey}' arrays, length >= 2")
     if np.any(np.diff(x) <= 0):
         raise ConfigError(f"table '{xkey}' values must be strictly increasing")
@@ -134,9 +137,9 @@ def _kernel_fn(spec):
             raise ConfigError("sinc covariance needs variance >= 0 and width > 0")
         return (lambda t1, t2: var * np.sinc((t1 - t2) / width)), None
     if form == "table":
-        t = np.asarray(spec["t"], dtype=float)
-        k = np.asarray(spec["k"], dtype=float)
-        if t.ndim != 1 or k.shape != (t.size, t.size):
+        t = _finite(spec, "t", None, 1)
+        k = _finite(spec, "k", None, 2)
+        if k.shape != (t.size, t.size):
             raise ConfigError("table covariance needs 1-D 't' and square 'k' of matching size")
         from scipy.interpolate import RegularGridInterpolator
         interp = RegularGridInterpolator((t, t), k, bounds_error=False, fill_value=None)
@@ -247,8 +250,11 @@ def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
 
     mode "abs" scores |v - ref|, mode "rel" scores |v - ref| / |ref|.
     """
-    lo, hi = (float(v) for v in spec.get("window", [lo, times[-1]]))
-    tol = float(spec.get("tol_" + mode, tol))
+    window = _finite(spec, "window", [lo, times[-1]], 1)
+    if window.shape != (2,):
+        raise ConfigError(f"{kind}: window must be [lo, hi], got {window.tolist()!r}")
+    lo, hi = window.tolist()
+    tol = _finite(spec, "tol_" + mode, tol)
     inside = [i for i, t in enumerate(times) if lo <= t <= hi]
     if not inside:
         raise ConfigError(f"{kind}: no block midpoints in window [{lo}, {hi}]")
@@ -271,8 +277,8 @@ def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
 
 def _gl_check(spec, march, horizon, times, u_fn, y0):
     """GL stepper reference y0 + gl_solve(system, b u - c y0) for march = (system, b, c)."""
-    n_grid = int(spec.get("n_grid", 1024))
-    tol = float(spec.get("tol_abs", 1e-2))
+    n_grid = int(_finite(spec, "n_grid", 1024))
+    tol = _finite(spec, "tol_abs", 1e-2)
     if n_grid < 1:
         raise ConfigError(f"gl_stepper n_grid must be >= 1, got {n_grid}")
     h = horizon / n_grid
@@ -304,7 +310,7 @@ def _white_intensity(kind, sysm, white_q):
 
 
 def _ml_variance_check(spec, times, q):
-    shape = {k: float(spec[k]) for k in ("a1", "a2", "alpha1", "alpha2") if k in spec}
+    shape = {k: _finite(spec, k, None) for k in ("a1", "a2", "alpha1", "alpha2") if k in spec}
     window = _window_check(
         spec, times, "ml_variance", 0.5, "rel", 0.02, "oracle_variance",
         lambda t: q * oracles.variance_double_integrator(t, **shape))
@@ -312,8 +318,8 @@ def _ml_variance_check(spec, times, q):
 
 
 def _h2_check(spec, sysm, times, q):
-    t_min = float(spec.get("t_min", 4.5))
-    tol = float(spec.get("tol_rel", 0.05))
+    t_min = _finite(spec, "t_min", 4.5)
+    tol = _finite(spec, "tol_rel", 0.05)
     mask = np.asarray(times) >= t_min
     if not np.any(mask):
         raise ConfigError(f"h2_plateau: no block midpoints at or after t_min={t_min}")
@@ -331,7 +337,7 @@ def _h2_check(spec, sysm, times, q):
 
 
 def _refinement_check(spec, sysm, basis):
-    tol = float(spec.get("tol_rel", 1e-3))
+    tol = _finite(spec, "tol_rel", 1e-3)
     bumped = dataclasses.replace(
         sysm,
         random_params=tuple(dataclasses.replace(p, quad_order=p.quad_order + 2)

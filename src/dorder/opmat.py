@@ -31,7 +31,7 @@ from .bpf import BpfBasis, SpectralVector
 __all__ = [
     "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",
     "invert_lower_toeplitz", "identity_matrix", "truncated_product", "apply",
-    "compose", "add", "scale", "to_dense",
+    "compose", "to_dense",
 ]
 
 
@@ -265,19 +265,6 @@ def compose(a, b):
     """
     _require_same_basis(a, b)
     return OpMatrix(a.basis, truncated_product(a.first_col, b.first_col))
-
-
-def add(a, b):
-    """Ring sum a + b."""
-    _require_same_basis(a, b)
-    return OpMatrix(a.basis, a.first_col + b.first_col)
-
-
-def scale(a, k):
-    """Scalar multiple k * a."""
-    if not np.isfinite(k):
-        raise ValueError(f"scale factor must be finite, got {k!r}")
-    return OpMatrix(a.basis, k * a.first_col, label=a.label)
 
 
 def to_dense(m):

@@ -30,6 +30,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # special functions
 
+def _finite_arg(name, x):
+    """x as a float; ValueError if it is not finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), real z.
 
@@ -37,11 +45,12 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     accumulation, terms evaluated in log space; stops once two
     consecutive terms fall below 1e-16 of the partial sum.  Intended
     for the moderate-argument regime (|z| up to about 10 for orders
-    away from zero); term overflow or hitting the term cap raises.
+    away from zero); a non-finite argument, term overflow or hitting
+    the term cap raises.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    z = float(z)
+    z = _finite_arg("z", z)
     if z == 0.0:
         return float(rgamma(beta))
     log_az = math.log(abs(z))
@@ -96,7 +105,7 @@ def analytic_impulse_example1(t):
     after the substitution x = e^u, which regularizes both endpoints.
     Relative accuracy target 1e-8 for t in roughly [0.05, 10].
     """
-    t = float(t)
+    t = _finite_arg("t", t)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t!r}")
 
@@ -127,7 +136,7 @@ def variance_double_integrator(t, a1=1.0, a2=1.0, alpha1=0.75, alpha2=1.0):
     with the algebraic endpoint singularity (alpha2 < 1) handed to the
     weighted quadrature rule.  Relative accuracy target 1e-7.
     """
-    t = float(t)
+    t = _finite_arg("t", t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if t == 0.0:

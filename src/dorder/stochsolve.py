@@ -17,9 +17,10 @@ ordering moves results only at roundoff.
 
 Random parameters bind coefficients, never orders, so every term's
 integral-form column is built once per propagate_moments call.  Each node
-then costs one Toeplitz inversion of its LHS and one product A_j mu
-(O(N^2) up to 512 blocks, O(N log N) above, see opmat) plus the
-variance convolution, in one pass that yields both moments.
+then costs one Toeplitz inversion of its LHS, one product A_j mu and
+one product of A_j with each of the r columns of the covariance factor
+(each O(N^2) up to 512 blocks and O(N log N) above, see opmat), in one
+pass that yields both moments.
 
 The input covariance is factored once, C_kUU = F F^T, when the forcing
 is built.  A diagonal covariance (white noise) is its own factor; any
@@ -29,14 +30,12 @@ F = V_r sqrt(Lambda_r).  Then diag(A_G C_kUU A_G^T) = rowsum((A_G F)^2),
 a sum of squares, so the variance is non-negative by construction.
 """
 
-import logging
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .bpf import SpectralVector, SpectralMatrix, reconstruct
+from .bpf import SpectralVector, SpectralMatrix
 from .opmat import truncated_product
 from .dosys import _bind, _system_columns
 # not called here; kept bound so perfbench's tracer finds it by name
@@ -45,10 +44,7 @@ from .dosys import assemble_system_operator  # noqa: F401
 __all__ = [
     "StochasticForcing", "MomentResult", "CubatureGrid",
     "parameter_quadrature", "tensor_cubature", "propagate_moments",
-    "variance_series",
 ]
-
-log = logging.getLogger(__name__)
 
 # tolerated asymmetry / negativity relative to the largest entry;
 # projection truncation produces harmless violations at this scale
@@ -217,11 +213,11 @@ def _node_moments(sys, basis, grid, forcing):
     """Per-node A_j mu and diag(A_j C A_j^T), stacked by node.
 
     A_j is lower-triangular Toeplitz, so with the forcing's factor
-    C = F F^T the diagonal is rowsum((A_j F)^2): one truncated FFT
-    convolution of A_j's first column down the r columns of F,
-    O(r N log N).  For a diagonal C = diag(d) it is the direct
-    convolution of a^2 with d, O(N^2), at every N.  Both are sums of
-    squares or of non-negative products.
+    C = F F^T the diagonal is rowsum((A_j F)^2): one truncated_product
+    of A_j's first column with each of the r columns of F, O(r N^2) up
+    to 512 blocks and O(r N log N) above.  For a diagonal C = diag(d)
+    it is the direct convolution of a^2 with d, O(N^2), at every N.
+    Both are sums of squares or of non-negative products.
     """
     columns = _system_columns(sys, basis)
     fac = forcing._factor
@@ -239,7 +235,7 @@ def _node_moments(sys, basis, grid, forcing):
             # can return tiny negative variances
             var.append(np.convolve(a * a, fac)[:n])
         else:
-            af = fftconvolve(a[:, None], fac, axes=0)[:n]
+            af = np.column_stack([truncated_product(a, f) for f in fac.T])
             var.append(np.einsum("ik,ik->i", af, af))
     return np.stack(a_mu), np.stack(var)
 
@@ -278,22 +274,3 @@ def propagate_moments(sys, basis, forcing, grid=None):
     var = grid.weights @ (var + dev * dev)
     return MomentResult(SpectralVector(basis, mean), SpectralVector(basis, var))
 
-
-def variance_series(r, times):
-    """Output variance at the given times.
-
-    Negative values are clamped to zero (logged).  propagate_moments
-    returns none, since CubatureGrid weights are non-negative, but any
-    MomentResult is accepted here.
-    """
-    out = []
-    clamped = 0
-    for t in times:
-        v = reconstruct(r.variance, t)
-        if v < 0.0:
-            clamped += 1
-            v = 0.0
-        out.append((float(t), v))
-    if clamped:
-        log.warning("clamped %d tiny negative variance values to zero", clamped)
-    return out

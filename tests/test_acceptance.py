@@ -25,7 +25,7 @@ from dorder.opmat import (integration_matrix, invert_lower_toeplitz, to_dense)
 from dorder.dosys import system_from_dict, assemble_system_operator
 from dorder.detsolve import solve, solve_ivp_shifted
 from dorder.stochsolve import (StochasticForcing, tensor_cubature,
-                               propagate_moments, variance_series)
+                               propagate_moments)
 from dorder import oracles
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -140,7 +140,7 @@ def test_criterion_5_white_noise_variance():
         white_noise_covariance(basis, 1.0))
     r = propagate_moments(sysm, basis, forcing, None)
     t = basis.midpoints()
-    v = np.array([vi for _, vi in variance_series(r, t)])
+    v = r.variance.coeffs  # a block midpoint reconstructs to its own coefficient
 
     mask = (t >= 0.5) & (t <= 5.0)
     ref = np.array([oracles.variance_double_integrator(ti) for ti in t[mask]])
@@ -165,7 +165,7 @@ def test_criterion_6_variance_plateau():
         white_noise_covariance(basis, 1.0))
     r = propagate_moments(sysm, basis, forcing, None)
     t = basis.midpoints()
-    v = np.array([vi for _, vi in variance_series(r, t)])
+    v = r.variance.coeffs
     plateau = float(np.mean(v[t >= 0.9 * horizon]))
     ref = oracles.steady_state_variance_frequency(sysm)
     rel = abs(plateau - ref) / ref
@@ -212,13 +212,13 @@ def test_criterion_7_collocation_vs_monte_carlo():
         wall_colloc = min(wall_colloc, time.perf_counter() - t0)
     t = basis.midpoints()
     mean = r5.mean.coeffs
-    var = np.array([vi for _, vi in variance_series(r5, t)])
+    var = r5.variance.coeffs
 
     # collocation self-consistency: two extra quadrature nodes per parameter
     bumped = dataclasses.replace(sysm, random_params=tuple(
         dataclasses.replace(p, quad_order=7) for p in sysm.random_params))
     r7 = propagate_moments(bumped, basis, forcing, tensor_cubature(bumped.random_params))
-    v7 = np.array([vi for _, vi in variance_series(r7, t)])
+    v7 = r7.variance.coeffs
     dm = float(np.max(np.abs(r7.mean.coeffs - mean)) / np.max(np.abs(mean)))
     dv = float(np.max(np.abs(v7 - var)) / np.max(np.abs(var)))
     consistent = dm <= 1e-3 and dv <= 1e-3

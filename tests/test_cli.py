@@ -262,6 +262,25 @@ MALFORMED = {
     "input_value_nan": ("solve", 2, _set("input", "value", math.nan), []),
     "input_value_infinite": ("solve", 2, _set("input", "value", math.inf), []),
     "initial_nan": ("solve", 2, _set("initial", math.nan), []),
+    "input_table_t_nan": ("solve", 2, _set(
+        "input", {"form": "table", "t": [0, math.nan, 2], "u": [1, 1, 1]}), ["--verify"]),
+    "input_table_u_nan": ("solve", 2, _set(
+        "input", {"form": "table", "t": [0, 1, 2], "u": [1, math.nan, 1]}), ["--verify"]),
+    "covariance_table_k_nan": ("stoch", 4, _set("forcing", "covariance", {
+        "form": "table", "t": [0, 5], "k": [[1, 0], [0, math.nan]]}), []),
+    # every number of the verify block
+    "verify_tol_abs_nan": ("solve", 2, _set("verify", "tol_abs", math.nan), ["--verify"]),
+    "verify_n_grid_nan": ("solve", 2, _set("verify", "n_grid", math.nan), ["--verify"]),
+    "verify_window_nan": ("solve", 1, _set("verify", "window", [math.nan, 5]), ["--verify"]),
+    "verify_window_infinite": (
+        "stoch", 3, _set("verify", "window", [0.5, math.inf]), ["--verify"]),
+    "verify_tol_rel_nan_window": ("stoch", 3, _set("verify", "tol_rel", math.nan), ["--verify"]),
+    "verify_ml_shape_nan": ("stoch", 3, _set("verify", "alpha1", math.nan), ["--verify"]),
+    "verify_t_min_nan": ("stoch", 4, _set("verify", "t_min", math.nan), ["--verify"]),
+    "verify_tol_rel_infinite_h2": (
+        "stoch", 4, _set("verify", "tol_rel", math.inf), ["--verify"]),
+    "verify_tol_rel_nan_refinement": (
+        "stoch", 5, _set("verify", "tol_rel", math.nan), ["--verify"]),
 }
 
 
@@ -536,6 +555,14 @@ def test_oracle_impulse_multiple_times(workdir, capsys):
 def test_oracle_variance_default_parameters(workdir, capsys):
     assert main(["oracle", "variance3", "1.0"]) == 0
     assert abs(float(capsys.readouterr().out) - 0.281180137124294) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [["ml", "1", "1", "nan"], ["impulse1", "nan"],
+                                  ["impulse1", "inf"], ["variance3", "nan"],
+                                  ["variance3", "inf"]])
+def test_oracle_non_finite_argument_exits_one(workdir, capsys, argv):
+    assert main(["oracle"] + argv) == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_oracle_unknown_name(workdir, capsys):

@@ -14,7 +14,7 @@ from dorder.dosys import system_from_dict, term_operator, _integral_shift
 from dorder.stochsolve import tensor_cubature
 from dorder.opmat import (OpMatrix, gamma_fn, integration_matrix,
                           derivative_matrix, identity_matrix,
-                          invert_lower_toeplitz, apply, compose, add, scale,
+                          invert_lower_toeplitz, apply, compose,
                           to_dense, truncated_product, _fft_product,
                           _newton_inverse, _recurrence_inverse)
 
@@ -313,14 +313,6 @@ def test_ring_is_commutative_and_associative():
     rhs = compose(x, compose(y, x))
     assert np.allclose(lhs.first_col, rhs.first_col, atol=1e-15)
     assert np.array_equal(compose(x, z).first_col, x.first_col)
-
-
-def test_add_scale():
-    b = make_basis(6, 1.0)
-    x = integration_matrix(0.5, b)
-    s = add(x, scale(x, -1.0))
-    assert np.all(s.first_col == 0.0)
-    assert np.allclose(scale(x, 3.0).first_col, 3.0 * x.first_col, atol=0)
 
 
 def test_basis_mismatch_rejected():

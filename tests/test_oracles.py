@@ -63,6 +63,12 @@ def test_ml_rejects_bad_alpha():
             mittag_leffler(alpha, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_ml_rejects_non_finite_argument(z):
+    with pytest.raises(ValueError, match="finite"):
+        mittag_leffler(0.5, 1.0, z)
+
+
 def test_ml_overflow_raises():
     with pytest.raises(RuntimeError):
         mittag_leffler(0.05, 1.0, -10.0)
@@ -109,6 +115,12 @@ def test_impulse_rejects_nonpositive_time():
             analytic_impulse_example1(t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_impulse_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        analytic_impulse_example1(t)
+
+
 # ---------------------------------------------------------------------------
 # variance integral
 
@@ -139,6 +151,12 @@ def test_variance_superdiffusive_branch():
     # alpha2 > 1 takes the plain-quadrature path
     v = variance_double_integrator(1.0, 1.0, 1.0, 0.5, 1.25)
     assert abs(v - 0.29851196073438874) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_variance_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        variance_double_integrator(t)
 
 
 def test_variance_order_validation():

@@ -1,8 +1,9 @@
 """Moment propagation: cubature, expectation operators, variance, covariance factor."""
 
 import json
-import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
 from dorder import opmat
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
-                          assemble_system_operator, system_from_dict, _system_columns)
-from dorder.stochsolve import (StochasticForcing, MomentResult, CubatureGrid,
+                          assemble_system_operator, system_from_dict, _system_columns,
+                          _bind)
+from dorder.stochsolve import (StochasticForcing, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
-                               propagate_moments, variance_series)
+                               propagate_moments, _node_moments)
 from dorder.detsolve import solve
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -237,8 +239,7 @@ def test_deterministic_forcing_random_system_gives_parameter_variance():
     r = propagate_moments(sysm, b, f)
     # y = k t; var(y) = var(k) t^2 = (1/12) t^2
     t = b.midpoints()
-    pairs = variance_series(r, t)
-    assert np.allclose([v for _, v in pairs], t ** 2 / 12.0, rtol=1e-10, atol=1e-13)
+    assert np.allclose(r.variance.coeffs, t ** 2 / 12.0, rtol=1e-10, atol=1e-13)
 
 
 def test_basis_mismatch_rejected():
@@ -259,17 +260,6 @@ def test_input_covariance_validation():
     indef[0, 1] = indef[1, 0] = 2.0  # symmetric but indefinite
     with pytest.raises(ValueError, match="positive semidefinite"):
         StochasticForcing(zero_mean(b), SpectralMatrix(b, indef))
-
-
-def test_variance_series_pairs_and_clamping(caplog):
-    b = make_basis(4, 1.0)
-    var = np.array([1.0, -1e-13, 2.0, 0.0])
-    r = MomentResult(SpectralVector(b, np.zeros(4)), SpectralVector(b, var))
-    with caplog.at_level(logging.WARNING, logger="dorder.stochsolve"):
-        pairs = variance_series(r, b.midpoints())
-    assert [t for t, _ in pairs] == list(b.midpoints())
-    assert [v for _, v in pairs] == [1.0, 0.0, 2.0, 0.0]
-    assert any("clamped" in m for m in caplog.messages)
 
 
 def dense_variance(sysm, b, f, grid):
@@ -363,3 +353,34 @@ def test_forcing_covariance_read_only():
     assert g.covariance.coeffs[0, 0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
         g.covariance.coeffs[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_factor_variance_componentwise_against_long_double(n):
+    # every entry of every node's rowsum((A_j F)^2) is graded relative to
+    # itself, so the small variances of the first blocks count as much as
+    # the largest; the reference is long double on the same double A_j, F
+    with open(os.path.join(CONFIGS, "example5.json")) as fh:
+        sysm = system_from_dict(json.load(fh))
+    c = ex5_sinc_covariance(n)
+    f = StochasticForcing(zero_mean(c.basis), c)
+    grid = tensor_cubature(sysm.random_params)
+    _, var = _node_moments(sysm, c.basis, grid, f)
+    columns = _system_columns(sysm, c.basis)
+    fac = f._factor.astype(np.longdouble)
+    for node, v in zip(grid.nodes, var):
+        a = _bind(columns, c.basis, node).first_col.astype(np.longdouble)
+        af = np.stack([np.convolve(a, col)[:n] for col in fac.T], axis=1)
+        ref = np.sum(af * af, axis=1)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(v - ref) / ref) <= 1e-14
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # one product path: every convolution goes through opmat.truncated_product
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opmat.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dorder.cli; "
+            "print(any(m.startswith('scipy.signal') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
