@@ -50,6 +50,7 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
+    beta = _finite_arg("beta", beta)
     z = _finite_arg("z", z)
     if z == 0.0:
         return float(rgamma(beta))

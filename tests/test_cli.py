@@ -557,7 +557,8 @@ def test_oracle_variance_default_parameters(workdir, capsys):
     assert abs(float(capsys.readouterr().out) - 0.281180137124294) <= 1e-9
 
 
-@pytest.mark.parametrize("argv", [["ml", "1", "1", "nan"], ["impulse1", "nan"],
+@pytest.mark.parametrize("argv", [["ml", "1", "1", "nan"], ["ml", "1", "nan", "1"],
+                                  ["impulse1", "nan"],
                                   ["impulse1", "inf"], ["variance3", "nan"],
                                   ["variance3", "inf"]])
 def test_oracle_non_finite_argument_exits_one(workdir, capsys, argv):

@@ -63,10 +63,12 @@ def test_ml_rejects_bad_alpha():
             mittag_leffler(alpha, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
-def test_ml_rejects_non_finite_argument(z):
-    with pytest.raises(ValueError, match="finite"):
-        mittag_leffler(0.5, 1.0, z)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ml_rejects_non_finite_argument(bad):
+    with pytest.raises(ValueError, match="z must be finite"):
+        mittag_leffler(0.5, 1.0, bad)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        mittag_leffler(0.5, bad, 1.0)
 
 
 def test_ml_overflow_raises():
