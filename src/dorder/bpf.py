@@ -2,7 +2,9 @@
 
 The basis splits [0, tau) into N half-open blocks of equal width and
 represents a function by its vector of block averages.  Bivariate
-kernels (covariance functions) get an N x N grid of cell averages.
+kernels (covariance functions) get an N x N grid of cell averages,
+one block row (q x N x q kernel values) at a time, in O(N^2 + N q^2)
+memory.  Scalar-only callables take the one per-point fallback.
 Block integrals are evaluated by fixed-order Gauss-Legendre quadrature
 per block; Dirac inputs bypass quadrature through dedicated
 constructors whose coefficients are the exact projections.
@@ -124,15 +126,18 @@ def _block_mean(vals, w):
     return ref + (vals - ref[..., None]) @ w / 2.0
 
 
-def _eval_grid(f, t):
-    """Evaluate f on array t, accepting scalar-only callables."""
+def _eval_grid(f, *args):
+    """f on the broadcast of its array arguments, point by point if f
+    rejects arrays or returns another shape (the one per-point fallback)."""
+    shape = np.broadcast_shapes(*(a.shape for a in args))
     try:
-        y = np.asarray(f(t), dtype=float)
-        if y.shape == t.shape:
+        y = np.asarray(f(*args), dtype=float)
+        if y.shape == shape:
             return y
     except (TypeError, ValueError):
         pass
-    return np.array([float(np.asarray(f(ti)).reshape(())) for ti in t.ravel()]).reshape(t.shape)
+    points = zip(*(a.ravel() for a in np.broadcast_arrays(*args)))
+    return np.array([float(np.asarray(f(*p)).reshape(())) for p in points]).reshape(shape)
 
 
 def project_function(f, basis, quad_order=5):
@@ -174,31 +179,21 @@ def project_bivariate(g, basis, quad_order=5):
 
     Entry (i, j) is the mean of g over block cell i x j, the tensor
     Gauss-Legendre rule applied as the block mean over t2 and then over
-    t1.  A constant kernel projects to itself bit-exactly for every
-    order; the rule does not rely on the floating-point sum of the
-    weights being 2.  The kernel should broadcast over ndarray
-    arguments; scalar-only callables are accepted but cost
-    N^2 * quad_order^2 point evaluations.  The array g returns is never
-    written into.
+    t1, so a constant kernel projects to itself bit-exactly.
+
+    g is called once per block row i, on block i's nodes of shape
+    (q, 1, 1) and all nodes of shape (N, q), and should return their
+    broadcast (q, N, q); scalar-only callables take _eval_grid's
+    per-point fallback, N^2 q^2 calls.  Working memory is
+    O(N^2 + N q^2), and no array g returns is written into.
     """
     pts, w = _gl_block_points(basis, quad_order)
-    flat = pts.ravel()
-    try:
-        vals = np.asarray(g(flat[:, None], flat[None, :]), dtype=float)
-        if vals.shape != (flat.size, flat.size):
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([[float(g(a, b)) for b in flat] for a in flat])
-    if not np.isfinite(vals).all():
-        k = int(np.argwhere(~np.isfinite(vals))[0][0])
-        i = k // quad_order
-        raise ValueError(f"kernel not finite inside block row {i}")
-    n, q = basis.n_funcs, quad_order
-    v = vals.reshape(n, q, n, q)
-    c = np.empty((n, n))
-    # one block row at a time, so no second N^2 q^2 array is made
-    for i in range(n):
-        c[i] = _block_mean(_block_mean(v[i], w).T, w)
+    c = np.empty((basis.n_funcs, basis.n_funcs))
+    for i, row in enumerate(pts):
+        vals = _eval_grid(g, row[:, None, None], pts)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"kernel not finite inside block row {i}")
+        c[i] = _block_mean(_block_mean(vals, w).T, w)
     return SpectralMatrix(basis, c)
 
 

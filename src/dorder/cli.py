@@ -337,6 +337,8 @@ def _h2_check(spec, sysm, times, q):
 
 
 def _refinement_check(spec, sysm, basis):
+    if not sysm.random_params:
+        raise ConfigError("colloc_refinement needs a system with random parameters")
     tol = _finite(spec, "tol_rel", 1e-3)
     bumped = dataclasses.replace(
         sysm,

@@ -104,14 +104,14 @@ class DensityTerm:
                 raise ValueError(f"point term needs a nonnegative order, got {self.order!r}")
             object.__setattr__(self, "order", float(self.order))
         else:
-            if self.lower is None or self.upper is None or not self.lower < self.upper:
-                raise ValueError(
-                    f"distributed term needs lower < upper, got [{self.lower!r}, {self.upper!r}]")
-            if self.quad_points < 1:
-                raise ValueError(f"quad_points must be >= 1, got {self.quad_points!r}")
+            if not (np.isfinite(np.array([self.lower, self.upper], dtype=float)).all()
+                    and self.lower < self.upper):
+                raise ValueError(f"distributed term needs finite lower < upper, "
+                                 f"got [{self.lower!r}, {self.upper!r}]")
+            _density_callable(self.density)
             object.__setattr__(self, "lower", float(self.lower))
             object.__setattr__(self, "upper", float(self.upper))
-            object.__setattr__(self, "quad_points", int(self.quad_points))
+            object.__setattr__(self, "quad_points", _count("quad_points", self.quad_points))
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,16 @@ class RandomParameter:
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(
                 f"distribution must be one of {_DISTRIBUTIONS}, got {self.distribution!r}")
+        given = [v for v in (self.lo, self.hi, self.mean, self.stddev) if v is not None]
+        if not np.isfinite(np.array(given, dtype=float)).all():
+            raise ValueError(f"parameter {self.name!r} needs finite lo, hi, mean, stddev")
         if self.distribution == "uniform":
             if self.lo is None or self.hi is None or not self.lo < self.hi:
                 raise ValueError(f"uniform parameter {self.name!r} needs lo < hi")
         else:
             if self.mean is None or self.stddev is None or not self.stddev > 0:
                 raise ValueError(f"gaussian parameter {self.name!r} needs stddev > 0")
-        if self.quad_order < 1:
-            raise ValueError(f"quad_order must be >= 1, got {self.quad_order!r}")
+        object.__setattr__(self, "quad_order", _count("quad_order", self.quad_order))
 
 
 @dataclass(frozen=True)
@@ -178,18 +180,29 @@ class DOSystem:
         return tuple(p.name for p in self.random_params)
 
 
+def _count(key, v):
+    """v as an int >= 1; ValueError naming key for 0, 2.5 or True."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{key} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 def _density_callable(density):
+    """rho(alpha) of a term's density; ValueError for a malformed named form."""
     if density is None:
         return lambda a: np.ones_like(a)
     if callable(density):
         return density
-    form = density.get("form")
+    form = density.get("form") if isinstance(density, dict) else None
     if form == "constant":
         return lambda a: np.ones_like(a)
     if form == "poly":
-        coeffs = np.asarray(density["coeffs"], dtype=float)
+        coeffs = np.asarray(density.get("coeffs"), dtype=float)
+        if coeffs.ndim != 1 or not coeffs.size or not np.isfinite(coeffs).all():
+            raise ValueError(f"poly density needs a nonempty list of finite coeffs, "
+                             f"got {density.get('coeffs')!r}")
         return lambda a: np.polynomial.polynomial.polyval(a, coeffs)
-    raise ValueError(f"unknown density form {form!r}")
+    raise ValueError(f"unknown density {density!r} (expected constant or poly form)")
 
 
 def _resolve_coeff(term, param_values):

@@ -170,12 +170,10 @@ def parameter_quadrature(p):
         x, w = np.polynomial.legendre.leggauss(q)
         nodes = p.lo + (x + 1.0) * 0.5 * (p.hi - p.lo)
         weights = w / 2.0
-    elif p.distribution == "gaussian":
+    else:  # gaussian, the only other distribution RandomParameter admits
         x, w = np.polynomial.hermite_e.hermegauss(q)
         nodes = p.mean + p.stddev * x
         weights = w / np.sqrt(2.0 * np.pi)
-    else:  # unreachable through RandomParameter validation
-        raise ValueError(f"unsupported distribution {p.distribution!r}")
     return list(zip(nodes.tolist(), weights.tolist()))
 
 
@@ -184,11 +182,10 @@ def tensor_cubature(params):
 
     The flattening enumerates multi-indices in graded lexicographic
     order: sorted first by total index sum, ties broken
-    lexicographically.  Grid size is the product of the quad orders.
+    lexicographically.  Grid size is the product of the quad orders, so
+    no parameters give the one node {} of weight 1.
     """
     params = tuple(params)
-    if not params:
-        raise ValueError("tensor_cubature needs at least one parameter")
     rules = [parameter_quadrature(p) for p in params]
     names = [p.name for p in params]
     indices = sorted(product(*(range(len(r)) for r in rules)),
@@ -199,14 +196,6 @@ def tensor_cubature(params):
         nodes.append({n: rules[d][i][0] for d, (n, i) in enumerate(zip(names, ix))})
         weights.append(float(np.prod([rules[d][i][1] for d, i in enumerate(ix)])))
     return CubatureGrid(tuple(nodes), np.array(weights))
-
-
-def _grid_or_trivial(sys, grid):
-    if grid is not None:
-        return grid
-    if sys.random_params:
-        return tensor_cubature(sys.random_params)
-    return CubatureGrid(({},), np.array([1.0]))
 
 
 def _node_moments(sys, basis, grid, forcing):
@@ -265,7 +254,7 @@ def propagate_moments(sys, basis, forcing, grid=None):
     """
     if forcing.mean.basis != basis:
         raise ValueError("forcing does not live on the requested basis")
-    grid = _grid_or_trivial(sys, grid)
+    grid = tensor_cubature(sys.random_params) if grid is None else grid
 
     a_mu, var = _node_moments(sys, basis, grid, forcing)
     mean = grid.weights @ a_mu

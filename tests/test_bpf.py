@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dorder.bpf import (BpfBasis, SpectralVector, SpectralMatrix, make_basis,
                         project_function, project_bivariate, reconstruct,
                         reconstruct_bivariate, delta_spectral,
-                        white_noise_covariance)
+                        white_noise_covariance, _gl_block_points)
 
 
 def test_basis_geometry():
@@ -50,19 +50,57 @@ def test_project_leaves_callers_array_unmodified():
     rng = np.random.default_rng(3)
     cached = rng.standard_normal((6, 5))
     cached_grid = rng.standard_normal((30, 30))
-    keep, keep_grid = cached.copy(), cached_grid.copy()
+    keep = cached.copy()
     v = project_function(lambda t: cached, b)
-    m = project_bivariate(lambda t1, t2: cached_grid, b)
     assert np.array_equal(cached, keep)
-    assert np.array_equal(cached_grid, keep_grid)
+    # a broadcasting kernel reading cached_grid at its nodes; every array
+    # it returns is kept with a copy and must come back unchanged
+    nodes = _gl_block_points(b, 5)[0].ravel()
+    returned = []
+
+    def kernel(t1, t2):
+        out = cached_grid[np.searchsorted(nodes, t1), np.searchsorted(nodes, t2)]
+        returned.append((out, out.copy()))
+        return out
+
+    m = project_bivariate(kernel, b)
+    assert returned and all(np.array_equal(out, copy) for out, copy in returned)
     # same numbers as the plain weighted sums, to rounding
     _, w = np.polynomial.legendre.leggauss(5)
     assert np.allclose(v.coeffs, cached @ w / 2.0, rtol=0, atol=1e-14)
     plain = np.einsum("iajb,a,b->ij", cached_grid.reshape(6, 5, 6, 5), w, w) / 4.0
     assert np.allclose(m.coeffs, plain, rtol=0, atol=1e-14)
     # read-only broadcast views are accepted as well
-    view = np.broadcast_to(np.float64(-1.25), (30, 30))
-    assert np.all(project_bivariate(lambda t1, t2: view, b).coeffs == -1.25)
+    view = project_bivariate(
+        lambda t1, t2: np.broadcast_to(-1.25, np.broadcast_shapes(t1.shape, t2.shape)), b)
+    assert np.all(view.coeffs == -1.25)
+
+
+def test_bivariate_kernel_called_once_per_block_row():
+    # one block row is q x N x q points, never the (N q)^2 grid
+    n, q = 64, 5
+    sizes = []
+
+    def kernel(t1, t2):
+        sizes.append(np.broadcast(t1, t2).size)
+        return np.cos(t1 - t2)
+
+    project_bivariate(kernel, make_basis(n, 3.0), quad_order=q)
+    assert len(sizes) == n
+    assert max(sizes) <= q * n * q
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 63])
+def test_nonfinite_names_its_block(k):
+    b = make_basis(64, 2.0)
+
+    def inside(t):
+        return (t >= k * b.width) & (t < (k + 1) * b.width)
+
+    with pytest.raises(ValueError, match=rf"^function not finite inside block {k} \["):
+        project_function(lambda t: np.where(inside(t), np.nan, 1.0), b)
+    with pytest.raises(ValueError, match=rf"^kernel not finite inside block row {k}$"):
+        project_bivariate(lambda t1, t2: np.where(inside(t1) & inside(t2), np.inf, 1.0), b)
 
 
 def test_project_linear_hits_midpoints():

@@ -197,6 +197,16 @@ def _set(*path):
     return edit
 
 
+def _gaussian_a(**kw):
+    """Config edit making ex5's parameter 'a' gaussian with the given fields."""
+    return _set("random_params", 0, dict(
+        {"name": "a", "distribution": "gaussian", "mean": 10.0, "stddev": 0.3}, **kw))
+
+
+def _poly(coeffs):
+    return {"form": "poly", "coeffs": coeffs}
+
+
 MC_SMALL = ["--n-grid", "8", "--samples", "4"]
 
 # (command, example config, edit, extra flags)
@@ -281,6 +291,27 @@ MALFORMED = {
         "stoch", 4, _set("verify", "tol_rel", math.inf), ["--verify"]),
     "verify_tol_rel_nan_refinement": (
         "stoch", 5, _set("verify", "tol_rel", math.nan), ["--verify"]),
+    # refining the cubature of a system with no random parameters checks nothing
+    "colloc_refinement_no_random_params": (
+        "stoch", 4, _set("verify", {"kind": "colloc_refinement"}), ["--verify"]),
+    # the system description, before any numeric work
+    "gaussian_mean_nan": ("stoch", 5, _gaussian_a(mean=math.nan), []),
+    "gaussian_mean_infinite_mc": ("mc", 5, _gaussian_a(mean=math.inf), MC_SMALL),
+    "gaussian_stddev_infinite": ("stoch", 5, _gaussian_a(stddev=math.inf), []),
+    "uniform_hi_infinite": ("stoch", 5, _set("random_params", 0, "hi", math.inf), []),
+    "uniform_hi_infinite_mc": ("mc", 5, _set("random_params", 0, "hi", math.inf), MC_SMALL),
+    "quad_order_fractional": ("stoch", 5, _set("random_params", 0, "quad_order", 2.5), []),
+    "term_lower_infinite": ("stoch", 5, _set("terms", 1, "lower", -math.inf), []),
+    "term_upper_infinite_mc": ("mc", 5, _set("terms", 1, "upper", math.inf), MC_SMALL),
+    "quad_points_fractional": ("stoch", 5, _set("terms", 1, "quad_points", 2.5), []),
+    "density_unknown_form": ("stoch", 5, _set("terms", 1, "density", {"form": "weird"}), []),
+    "density_unknown_form_mc": (
+        "mc", 5, _set("terms", 1, "density", {"form": "weird"}), MC_SMALL),
+    "density_poly_empty": ("stoch", 5, _set("terms", 1, "density", _poly([])), []),
+    "density_poly_string": ("stoch", 5, _set("terms", 1, "density", _poly("ab")), []),
+    "density_poly_missing": ("stoch", 5, _set("terms", 1, "density", {"form": "poly"}), []),
+    "density_poly_infinite": (
+        "stoch", 5, _set("terms", 1, "density", _poly([1, math.inf])), []),
 }
 
 

@@ -45,6 +45,15 @@ def test_term_validation():
     with pytest.raises(ValueError, match="quad_points"):
         DensityTerm("lhs", "derivative", 1.0, "distributed", lower=0.0, upper=1.0,
                     quad_points=0)
+    for bad in ({"lower": -np.inf}, {"upper": np.nan}, {"quad_points": 2.5},
+                {"density": {"form": "weird"}}, {"density": {"form": "poly", "coeffs": []}},
+                {"density": {"form": "poly", "coeffs": [1.0, np.inf]}}, {"density": "poly"}):
+        with pytest.raises(ValueError):
+            DensityTerm("lhs", "derivative", 1.0, "distributed",
+                        **dict({"lower": 0.0, "upper": 1.0}, **bad))
+    # callable densities stay accepted for library use
+    DensityTerm("lhs", "derivative", 1.0, "distributed", lower=0.0, upper=1.0,
+                density=lambda a: 2.0 * a)
 
 
 def test_random_parameter_validation():
@@ -58,6 +67,10 @@ def test_random_parameter_validation():
         RandomParameter("x", "lognormal", lo=0.0, hi=1.0)
     with pytest.raises(ValueError):
         RandomParameter("", "uniform", lo=0.0, hi=1.0)
+    for bad in ({"mean": np.nan}, {"mean": np.inf}, {"stddev": np.inf}, {"lo": -np.inf},
+                {"quad_order": 2.5}, {"quad_order": True}):
+        with pytest.raises(ValueError):
+            RandomParameter("g", "gaussian", **dict({"mean": 0.0, "stddev": 1.0}, **bad))
 
 
 def test_system_validation():
@@ -123,10 +136,10 @@ def test_density_callable_accepted():
 
 
 def test_unknown_density_form():
-    t = DensityTerm("lhs", "derivative", 1.0, "distributed", lower=0.0, upper=1.0,
-                    density={"form": "spline"})
+    # rejected when the term is built, before any quadrature
     with pytest.raises(ValueError, match="spline"):
-        density_quadrature(t)
+        DensityTerm("lhs", "derivative", 1.0, "distributed", lower=0.0, upper=1.0,
+                    density={"form": "spline"})
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,11 @@ def test_tensor_cubature_graded_order():
     assert sums == sorted(sums)
 
 
-def test_tensor_cubature_rejects_empty():
-    with pytest.raises(ValueError):
-        tensor_cubature(())
+def test_tensor_cubature_of_no_parameters_is_one_unit_node():
+    # the empty product: the grid a deterministic system is propagated on
+    grid = tensor_cubature(())
+    assert grid.nodes == ({},)
+    assert np.array_equal(grid.weights, [1.0])
 
 
 def test_cubature_grid_rejects_negative_weights():
