@@ -17,6 +17,7 @@ from .bpf import (
     make_basis,
     project_function,
     project_bivariate,
+    project_stationary,
     reconstruct,
     reconstruct_bivariate,
     delta_spectral,
@@ -56,7 +57,7 @@ from . import oracles
 
 __all__ = [
     "BpfBasis", "SpectralVector", "SpectralMatrix",
-    "make_basis", "project_function", "project_bivariate",
+    "make_basis", "project_function", "project_bivariate", "project_stationary",
     "reconstruct", "reconstruct_bivariate", "delta_spectral",
     "white_noise_covariance",
     "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",

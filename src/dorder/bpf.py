@@ -4,7 +4,9 @@ The basis splits [0, tau) into N half-open blocks of equal width and
 represents a function by its vector of block averages.  Bivariate
 kernels (covariance functions) get an N x N grid of cell averages,
 one block row (q x N x q kernel values) at a time, in O(N^2 + N q^2)
-memory.  Scalar-only callables take the one per-point fallback.
+memory.  A stationary kernel k(t1 - t2) gives a symmetric Toeplitz
+grid, fixed by its N lag means, so it takes N q^2 kernel values in
+all.  Scalar-only callables take the one per-point fallback.
 Block integrals are evaluated by fixed-order Gauss-Legendre quadrature
 per block; Dirac inputs bypass quadrature through dedicated
 constructors whose coefficients are the exact projections.
@@ -21,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "BpfBasis", "SpectralVector", "SpectralMatrix",
-    "make_basis", "project_function", "project_bivariate",
+    "make_basis", "project_function", "project_bivariate", "project_stationary",
     "reconstruct", "reconstruct_bivariate",
     "delta_spectral", "white_noise_covariance",
 ]
@@ -195,6 +197,33 @@ def project_bivariate(g, basis, quad_order=5):
             raise ValueError(f"kernel not finite inside block row {i}")
         c[i] = _block_mean(_block_mean(vals, w).T, w)
     return SpectralMatrix(basis, c)
+
+
+def project_stationary(k, basis, quad_order=5):
+    """Project a stationary kernel k(t1 - t2) onto the N x N block cell grid.
+
+    On equal blocks the cell mean depends only on the block lag |i - j|,
+    so the grid is the symmetric Toeplitz matrix of the N lag means
+    col[l], the cell means of block l against block 0.  k is called
+    once, on the lag nodes t1 - t2 of those cells, shape (N, q, q), and
+    must be even, as a stationary covariance is.  The nodes and the two
+    nested block means are project_bivariate's, so a constant kernel
+    projects to itself bit-exactly and the grid matches
+    project_bivariate(lambda t1, t2: k(t1 - t2)) up to the rounding of
+    the node differences.  Costs N q^2 kernel values and one N x N array.
+    """
+    pts, w = _gl_block_points(basis, quad_order)
+    vals = _eval_grid(k, pts[:, :, None] - pts[0])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        lag = int(np.argwhere(bad)[0][0])
+        raise ValueError(f"kernel not finite at block lag {lag}, |t1 - t2| in "
+                         f"[{max(lag - 1, 0) * basis.width:g}, {(lag + 1) * basis.width:g}]")
+    col = _block_mean(_block_mean(vals, w), w)
+    # row i of the grid is col[|i - j|], the window of (col reversed, col) ending at N - 1 + i
+    both = np.concatenate((col[:0:-1], col))
+    windows = np.lib.stride_tricks.sliding_window_view(both, basis.n_funcs)
+    return SpectralMatrix(basis, windows[::-1].copy())
 
 
 def _block_index(basis, t):

@@ -21,12 +21,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bpf import (make_basis, project_function, project_bivariate,
+from .bpf import (make_basis, project_function, project_bivariate, project_stationary,
                   delta_spectral, white_noise_covariance)
 from .dosys import system_from_dict, system_to_dict
 from .detsolve import solve, solve_ivp_shifted, _relaxation_form
-from .stochsolve import (StochasticForcing, tensor_cubature,
-                         propagate_moments, _rank_rtol)
+from .stochsolve import StochasticForcing, tensor_cubature, propagate_moments
 from . import oracles
 
 SCHEMA_VERSION = 1
@@ -123,19 +122,23 @@ def _input_fn(cfg):
 
 
 def _kernel_fn(spec):
-    """Covariance block -> (kernel callable or None, white intensity or None)."""
+    """Covariance block -> (kernel callable or None, its function of the lag
+    t1 - t2 for a stationary form or None, white intensity or None)."""
     form = spec.get("form")
     if form == "white":
         q = _finite(spec, "intensity", 1.0)
         if q < 0:
             raise ConfigError(f"white intensity must be nonnegative, got {q!r}")
-        return None, q
+        return None, None, q
     if form == "sinc":
         var = _finite(spec, "variance", 1.0)
         width = _finite(spec, "width", 2.0 * math.pi)
         if var < 0 or width <= 0:
             raise ConfigError("sinc covariance needs variance >= 0 and width > 0")
-        return (lambda t1, t2: var * np.sinc((t1 - t2) / width)), None
+        # written out twice: a kernel calling lag(t1 - t2) would hold the
+        # difference grid alive through the call, one more N x N array in mc
+        return ((lambda t1, t2: var * np.sinc((t1 - t2) / width)),
+                (lambda tau: var * np.sinc(tau / width)), None)
     if form == "table":
         t = _finite(spec, "t", None, 1)
         k = _finite(spec, "k", None, 2)
@@ -149,7 +152,7 @@ def _kernel_fn(spec):
             pts = np.stack([tt1.ravel(), tt2.ravel()], axis=-1)
             return interp(pts).reshape(tt1.shape)
 
-        return kernel, None
+        return kernel, None, None
     raise ConfigError(f"unknown covariance form {form!r} (expected white|sinc|table)")
 
 
@@ -416,7 +419,7 @@ def _prepare_stoch(cfg, sysm, horizon, args):
     """Collocation moments: CSV columns t,mean,variance at block midpoints."""
     basis = make_basis(args.n_basis, horizon)
     times = basis.midpoints()
-    mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
+    mean_fn, (kernel, lag, white_q) = _forcing_blocks(cfg)
     check = _verify_check(cfg, args, {
         "ml_variance": lambda spec: _ml_variance_check(
             spec, times, _white_intensity("ml_variance", sysm, white_q)),
@@ -429,6 +432,8 @@ def _prepare_stoch(cfg, sysm, horizon, args):
         mean_sv = project_function(mean_fn, basis)
         if white_q is not None:
             cov_sm = white_noise_covariance(basis, white_q)
+        elif lag is not None:
+            cov_sm = project_stationary(lag, basis)
         else:
             cov_sm = project_bivariate(kernel, basis)
         forcing = StochasticForcing(mean_sv, cov_sm)
@@ -438,7 +443,9 @@ def _prepare_stoch(cfg, sysm, horizon, args):
         columns = [("t", times), ("mean", r.mean.coeffs), ("variance", variance)]
         diagnostics = {
             "covariance_rank": forcing.rank,
-            "rank_rtol": _rank_rtol(basis.n_funcs),
+            "covariance_factor": forcing.factor_method,
+            "psd_margin": forcing.psd_margin,
+            "rank_rtol": forcing.rank_rtol,
             "cubature_nodes": math.prod(p.quad_order for p in sysm.random_params),
         }
         return columns, check and check(variance, r.mean.coeffs, forcing), diagnostics
@@ -448,7 +455,7 @@ def _prepare_stoch(cfg, sysm, horizon, args):
 
 def _prepare_mc(cfg, sysm, horizon, args):
     """Monte Carlo moments: CSV columns t,mean,variance,mean_stderr,variance_stderr."""
-    mean_fn, (kernel, white_q) = _forcing_blocks(cfg)
+    mean_fn, (kernel, _, white_q) = _forcing_blocks(cfg)
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     if args.n_grid < 1:

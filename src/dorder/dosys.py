@@ -42,6 +42,7 @@ _SIDES = ("lhs", "rhs")
 _SENSES = ("derivative", "integral")
 _KINDS = ("point", "distributed")
 _DISTRIBUTIONS = ("uniform", "gaussian")
+_QUAD_POINTS = 3  # default order-quadrature points of a distributed term
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ class DensityTerm:
         be bound at assembly time.
     kind : {'point', 'distributed'}
     order : float
-        Fractional order, point kind only.  Order 0 is the identity
-        term.
+        Fractional order, point kind only (a distributed term rejects
+        it).  Order 0 is the identity term.
     density : None, dict or callable
         Order density rho(alpha), distributed kind only.  None means
         the constant density 1; named forms are
@@ -73,6 +74,9 @@ class DensityTerm:
         Order interval [lower, upper], distributed kind only.
     quad_points : int
         Gauss-Legendre points in the order variable (distributed kind).
+
+    A point term rejects a density, lower or upper and a quad_points
+    other than the default, since none of them would have an effect.
     """
 
     side: str
@@ -83,7 +87,7 @@ class DensityTerm:
     density: object = None
     lower: float | None = None
     upper: float | None = None
-    quad_points: int = 3
+    quad_points: int = _QUAD_POINTS
 
     def __post_init__(self):
         if self.side not in _SIDES:
@@ -100,10 +104,20 @@ class DensityTerm:
         else:
             object.__setattr__(self, "coeff", float(self.coeff))
         if self.kind == "point":
+            # a distributed-only field has no effect on a point term, so it is an error
+            extra = [k for k in ("density", "lower", "upper") if getattr(self, k) is not None]
+            if self.quad_points != _QUAD_POINTS:
+                extra.append("quad_points")
+            if extra:
+                raise ValueError(f"point term takes no {', '.join(extra)} "
+                                 f"(distributed terms only)")
             if self.order is None or not np.isfinite(self.order) or self.order < 0:
                 raise ValueError(f"point term needs a nonnegative order, got {self.order!r}")
             object.__setattr__(self, "order", float(self.order))
         else:
+            if self.order is not None:
+                raise ValueError(f"distributed term takes no order (point terms only), "
+                                 f"got {self.order!r}")
             if not (np.isfinite(np.array([self.lower, self.upper], dtype=float)).all()
                     and self.lower < self.upper):
                 raise ValueError(f"distributed term needs finite lower < upper, "

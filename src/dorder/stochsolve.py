@@ -23,11 +23,16 @@ one product of A_j with each of the r columns of the covariance factor
 pass that yields both moments.
 
 The input covariance is factored once, C_kUU = F F^T, when the forcing
-is built.  A diagonal covariance (white noise) is its own factor; any
-other is factored by a symmetric eigendecomposition truncated to the
-eigenvalues above n * eps * lambda_max (numpy's `matrix_rank` rule),
-F = V_r sqrt(Lambda_r).  Then diag(A_G C_kUU A_G^T) = rowsum((A_G F)^2),
-a sum of squares, so the variance is non-negative by construction.
+is built.  A diagonal covariance (white noise) is its own factor.  Any
+other is factored by pivoted Cholesky, O(N r^2) for rank r, stopped
+once the trace left is at most n * eps * trace(C), and kept when the
+residual certifies C positive semidefinite (Gershgorin, O(N^2 r)).  A
+C the certificate does not pass, or of rank above N / 4, takes the
+symmetric eigendecomposition truncated to the eigenvalues above
+n * eps * lambda_max (numpy's `matrix_rank` rule), F = V_r
+sqrt(Lambda_r), which also rejects an indefinite C.  Then
+diag(A_G C_kUU A_G^T) = rowsum((A_G F)^2), a sum of squares, so the
+variance is non-negative by construction.
 """
 
 from dataclasses import dataclass, field
@@ -53,16 +58,66 @@ _PSD_RTOL = 1e-8
 
 
 def _rank_rtol(n):
-    """Relative eigenvalue cut of the covariance factor: numpy's matrix_rank rule."""
+    """Relative cut of the covariance factor: numpy's matrix_rank rule, n * eps.
+
+    The eigendecomposition drops eigenvalues at or below it times
+    lambda_max; pivoted Cholesky stops once the trace of what is left
+    is at or below it times trace(C).
+    """
     return n * np.finfo(float).eps
 
 
-def _factor_covariance(c):
-    """Check C and factor it: 1-D d with C = diag(d), or F with C ~ F F^T.
+def _pivoted_cholesky(c):
+    """F (N x r) with C ~ F F^T by diagonal pivoting, or None past rank N // 4.
 
-    Eigenvalues at or below _rank_rtol(n) * lambda_max are dropped.  A
-    diagonal C is symmetric and has its diagonal as its eigenvalues, so
-    it is checked in O(N) and returned as that (truncated) diagonal.
+    Harbrecht, Peters & Schneider, Appl. Numer. Math. 62 (2012): each
+    step takes the largest diagonal entry d_p of the Schur complement S
+    left so far and adds the column (C[p] - F F[p]^T) / sqrt(d_p).  It
+    stops once trace(S) <= _rank_rtol(N) * trace(C), which keeps 8
+    columns of ex5's sinc kernel at N = 64 and 7 at N = 512-4096, with
+    max|C - F F^T| <= 2.5e-13 max|C|.  A bound on the largest entry
+    instead, max(d) <= N eps |F[:, 0]|^2, stops at 6 columns from
+    N = 2048, with a residual of 1.3e-10 max|C|.
+    """
+    n = c.shape[0]
+    d = np.diag(c).copy()
+    stop = _rank_rtol(n) * d.sum()
+    rows = np.empty((n // 4, n))  # row k is column k of F
+    for m in range(n // 4 + 1):
+        if d.sum() <= stop:
+            return rows[:m].T
+        if m == n // 4:
+            return None
+        p = int(np.argmax(d))
+        rows[m] = (c[p] - rows[:m, p] @ rows[:m]) / np.sqrt(d[p])
+        d -= rows[m] * rows[m]
+
+
+def _max_residual(c, fac):
+    """max |C - F F^T|, one block of rows at a time (no second N x N array).
+
+    NaN propagates (an overflowed factor is never certified).
+    """
+    n = c.shape[0]
+    step = max(1, 2 ** 18 // n)
+    return np.max([np.abs(c[i:i + step] - fac[i:i + step] @ fac.T).max()
+                   for i in range(0, n, step)])
+
+
+def _factor_covariance(c):
+    """Check C and factor it: (factor, method, PSD margin).
+
+    The factor is 1-D d with C = diag(d), or F with C ~ F F^T.  The
+    margin bounds max(-lambda_min(C), 0) / max|C|, and C is rejected
+    where it passes _PSD_RTOL.  A diagonal C is symmetric and has its
+    diagonal as its eigenvalues, so it is checked in O(N) and returned
+    as that diagonal, entries at or below _rank_rtol(n) * max(d) set to
+    0.  Any other C is tried by pivoted Cholesky first, and kept if
+    C - F F^T = R certifies it: lambda_min(C) >= lambda_min(sym R) >=
+    -N max|R| (Gershgorin), so N max|R| <= _PSD_RTOL max|C| proves the
+    eigendecomposition would not reject C.  Else, and for a rank past
+    N // 4, the symmetric eigendecomposition decides, dropping the
+    eigenvalues at or below _rank_rtol(n) * lambda_max.
     """
     n = c.shape[0]
     d = np.diag(c)
@@ -78,7 +133,13 @@ def _factor_covariance(c):
         raise ValueError(f"input covariance has negative diagonal entries "
                          f"beyond tolerance: min {d.min():.3e} vs scale {m:.3e}")
     if diagonal:
-        return np.where(d > _rank_rtol(n) * max(d.max(), 0.0), d, 0.0)
+        return (np.where(d > _rank_rtol(n) * max(d.max(), 0.0), d, 0.0), "diagonal",
+                max(0.0, -d.min()) / floor)
+    fac = _pivoted_cholesky(c)
+    if fac is not None:
+        margin = n * _max_residual(c, fac) / floor
+        if margin <= _PSD_RTOL:
+            return fac, "pivoted_cholesky", margin
     # block averaging preserves positive semidefiniteness exactly, so a
     # clearly negative eigenvalue means the kernel itself is indefinite.
     # The symmetric part has the same quadratic form as C.
@@ -87,7 +148,7 @@ def _factor_covariance(c):
         raise ValueError(f"input covariance is not positive semidefinite: "
                          f"min eigenvalue {lam[0]:.3e} vs scale {m:.3e}")
     keep = lam > _rank_rtol(n) * lam[-1]
-    return v[:, keep] * np.sqrt(lam[keep])
+    return v[:, keep] * np.sqrt(lam[keep]), "eigh", max(0.0, -lam[0]) / floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +156,14 @@ class StochasticForcing:
     """Input mean and covariance in spectral form.
 
     The covariance is checked (symmetric, positive semidefinite) and
-    factored once here, C = F F^T, keeping the eigenvalues above
-    n * eps * lambda_max; `rank` is the number kept.  A diagonal
-    covariance is its own factor.  The forcing makes the covariance
-    array it holds read-only (a view is copied first), so the factor
-    cannot go stale.
+    factored once here, C = F F^T, by certified pivoted Cholesky or else
+    the truncated eigendecomposition (see _factor_covariance); `rank` is
+    the number of columns kept, `factor_method` the path taken
+    ('diagonal', 'pivoted_cholesky' or 'eigh'), `psd_margin` its bound
+    on max(-lambda_min, 0) / max|C| and `rank_rtol` its relative cut.  A
+    diagonal covariance is its own factor.  The forcing makes the
+    covariance array it holds read-only (a view is copied first), so the
+    factor cannot go stale.
     """
 
     mean: SpectralVector
@@ -112,8 +176,16 @@ class StochasticForcing:
         if not c.flags.owndata:
             c = c.copy()
             object.__setattr__(self, "covariance", SpectralMatrix(self.covariance.basis, c))
-        object.__setattr__(self, "_factor", _factor_covariance(c))
+        fac, method, margin = _factor_covariance(c)
+        object.__setattr__(self, "_factor", fac)
+        object.__setattr__(self, "factor_method", method)
+        object.__setattr__(self, "psd_margin", float(margin))
         c.flags.writeable = False
+
+    @property
+    def rank_rtol(self):
+        """Relative cut of the factor: of lambda_max, trace(C) or max(d) by method."""
+        return _rank_rtol(self.covariance.basis.n_funcs)
 
     @property
     def rank(self):

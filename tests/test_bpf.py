@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import (BpfBasis, SpectralVector, SpectralMatrix, make_basis,
-                        project_function, project_bivariate, reconstruct,
-                        reconstruct_bivariate, delta_spectral,
+                        project_function, project_bivariate, project_stationary,
+                        reconstruct, reconstruct_bivariate, delta_spectral,
                         white_noise_covariance, _gl_block_points)
 
 
@@ -156,6 +156,54 @@ def test_project_reconstruct_idempotent(n, tau):
     v = SpectralVector(b, rng.standard_normal(n))
     w = project_function(lambda t: np.array([reconstruct(v, ti) for ti in np.atleast_1d(t)]), b)
     assert np.allclose(w.coeffs, v.coeffs, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 8), st.floats(0.01, 100.0),
+       st.sampled_from(["sinc", "exp"]), st.floats(0.05, 10.0))
+def test_stationary_matches_bivariate(n, q, tau, form, width):
+    # same nodes and block means; only the node differences t1 - t2 round
+    # differently, so the grids agree to 1e-13 of max|C|, not bit for bit
+    if form == "sinc":
+        k = lambda s: np.sinc(s / width)
+    else:
+        k = lambda s: np.exp(-np.abs(s) / width)
+    b = make_basis(n, tau)
+    c = project_stationary(k, b, quad_order=q).coeffs
+    ref = project_bivariate(lambda t1, t2: k(t1 - t2), b, quad_order=q).coeffs
+    assert np.array_equal(c, c.T)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 48), st.floats(1e-6, 1e6),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_stationary_any_constant_bit_exact(q, n, tau, c):
+    m = project_stationary(lambda s: np.full_like(s, c), make_basis(n, tau), quad_order=q)
+    assert m.coeffs.shape == (n, n)
+    assert np.all(m.coeffs == c)
+
+
+def test_stationary_kernel_called_once_on_lag_nodes():
+    n, q = 64, 5
+    shapes = []
+
+    def k(s):
+        shapes.append(s.shape)
+        return np.cos(s)
+
+    project_stationary(k, make_basis(n, 3.0), quad_order=q)
+    assert shapes == [(n, q, q)]
+
+
+@pytest.mark.parametrize("lag", [0, 1, 17, 63])
+def test_stationary_nonfinite_names_its_lag(lag):
+    # with q = 5, lag l's nodes are l h + (x_a - x_b) h / 2, and lags l +- 1
+    # come no nearer to l h than 0.094 h, so only lag l (a = b) sees the NaN
+    b = make_basis(64, 2.0)
+    k = lambda s: np.where(np.abs(s - lag * b.width) < 0.05 * b.width, np.nan, 1.0)
+    with pytest.raises(ValueError, match=rf"^kernel not finite at block lag {lag}, "):
+        project_stationary(k, b)
 
 
 def test_bivariate_separable_is_outer_product():

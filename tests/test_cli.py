@@ -312,6 +312,16 @@ MALFORMED = {
     "density_poly_missing": ("stoch", 5, _set("terms", 1, "density", {"form": "poly"}), []),
     "density_poly_infinite": (
         "stoch", 5, _set("terms", 1, "density", _poly([1, math.inf])), []),
+    # a field of the other term kind would have no effect
+    "point_term_distributed_fields": ("solve", 2, lambda cfg: cfg["terms"][1].update(
+        quad_points=2.5, lower="abc", density={"form": "weird"}), []),
+    "point_term_quad_points": ("solve", 2, _set("terms", 1, "quad_points", 2.5), []),
+    "point_term_lower": ("solve", 2, _set("terms", 1, "lower", "abc"), []),
+    "point_term_upper": ("solve", 2, _set("terms", 1, "upper", 1.0), []),
+    "point_term_density": ("solve", 2, _set("terms", 1, "density", {"form": "weird"}), []),
+    "point_term_density_mc": (
+        "mc", 5, _set("terms", 0, "density", {"form": "constant"}), MC_SMALL),
+    "distributed_term_order": ("stoch", 5, _set("terms", 1, "order", 0.85), []),
 }
 
 
@@ -503,16 +513,33 @@ def test_stoch_quad_points_flag_in_manifest(workdir):
     assert manifest["flags"]["quad_points"] == 7
 
 
-@pytest.mark.parametrize("example,n,rank,nodes", [(4, 64, 64, 1), (5, 512, 7, 25)])
+@pytest.mark.parametrize("example,n,rank,nodes", [(4, 64, 64, 1), (5, 64, 8, 25),
+                                                  (5, 512, 7, 25)])
 def test_stoch_manifest_diagnostics(workdir, example, n, rank, nodes):
+    # ex4 is white noise, ex5 a sinc kernel
+    factor = "diagonal" if example == 4 else "pivoted_cholesky"
     cfg = _example(example)
     del cfg["verify"]
     path = write_config(workdir, cfg)
     assert main(["stoch", path, "--n-basis", str(n), "--output", "out.csv"]) == 0
-    manifest = json.loads((workdir / "out.manifest.json").read_text())
-    assert manifest["diagnostics"] == {"covariance_rank": rank,
-                                       "rank_rtol": n * np.finfo(float).eps,
-                                       "cubature_nodes": nodes}
+    diagnostics = json.loads((workdir / "out.manifest.json").read_text())["diagnostics"]
+    margin = diagnostics.pop("psd_margin")
+    assert diagnostics == {"covariance_rank": rank, "covariance_factor": factor,
+                           "rank_rtol": n * np.finfo(float).eps,
+                           "cubature_nodes": nodes}
+    # white noise is its own factor; a pivoted factor's N max|C - F F^T| / max|C|
+    # certifies C only up to _PSD_RTOL
+    assert margin == 0.0 if factor == "diagonal" else 0.0 < margin <= 1e-8
+
+
+def test_stoch_reruns_are_byte_identical(workdir):
+    cfg = write_config(workdir, _example(5))
+    for name in ("a", "b"):
+        assert main(["stoch", cfg, "--n-basis", "64", "--verify", "--output",
+                     f"{name}.csv"]) == 0
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+    ma = (workdir / "a.manifest.json").read_text().replace('"a.csv"', '"b.csv"')
+    assert ma == (workdir / "b.manifest.json").read_text()
 
 
 def test_solve_and_mc_manifests_have_no_diagnostics(workdir):

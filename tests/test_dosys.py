@@ -56,6 +56,21 @@ def test_term_validation():
                 density=lambda a: 2.0 * a)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("density", {"form": "constant"}), ("density", lambda a: a), ("lower", 0.0),
+    ("upper", 1.0), ("quad_points", 5), ("quad_points", 2.5)])
+def test_point_term_rejects_distributed_fields(field, value):
+    # none of them has an effect on a point term, so each is an error
+    with pytest.raises(ValueError, match=rf"^point term takes no {field} "):
+        DensityTerm("lhs", "derivative", 1.0, "point", order=1.0, **{field: value})
+    DensityTerm("lhs", "derivative", 1.0, "point", order=1.0, quad_points=3)
+
+
+def test_distributed_term_rejects_order():
+    with pytest.raises(ValueError, match="^distributed term takes no order"):
+        DensityTerm("lhs", "derivative", 1.0, "distributed", order=0.5, lower=0.0, upper=1.0)
+
+
 def test_random_parameter_validation():
     RandomParameter("a", "uniform", lo=0.0, hi=1.0)
     RandomParameter("g", "gaussian", mean=0.0, stddev=2.0)

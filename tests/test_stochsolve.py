@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix,
-                        project_function, project_bivariate, white_noise_covariance)
+from dorder.bpf import (make_basis, SpectralVector, SpectralMatrix, project_function,
+                        project_bivariate, project_stationary, white_noise_covariance)
 from dorder import opmat
 from dorder.opmat import to_dense
 from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
@@ -18,7 +18,7 @@ from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
                           _bind)
 from dorder.stochsolve import (StochasticForcing, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
-                               propagate_moments, _node_moments)
+                               propagate_moments, _node_moments, _PSD_RTOL)
 from dorder.detsolve import solve
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -289,15 +289,25 @@ def random_covariance(kind, rng, b, rank):
     return g @ g.T
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+def expected_factor_method(kind, n, rank):
+    """The factor path of random_covariance(kind, ...), None where either may run."""
+    if kind == "diagonal" or n == 1:  # a 1 x 1 matrix is diagonal
+        return "diagonal"
+    if kind == "lowrank":  # exact rank min(rank, n); pivoted Cholesky stops at N // 4
+        return "pivoted_cholesky" if rank <= n // 4 else "eigh"
+    return "eigh" if kind == "exp" else None  # exp is full rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 48),
        st.floats(0.1, 2.0), st.floats(0.0, 1.0), st.integers(1, 4), st.integers(1, 24),
        st.sampled_from(["lowrank", "diagonal", "sinc", "exp"]))
 def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank, kind):
-    # exact in exact arithmetic up to the factor's eigenvalue cut; the dense
-    # reference subtracts mean^2 from the second moment, so the tolerance is
-    # relative to the second moment.  "diagonal" takes the diagonal path,
-    # "sinc" and "exp" the truncated eigendecomposition.
+    # exact in exact arithmetic up to the factor's cut; the dense reference
+    # subtracts mean^2 from the second moment, so the tolerance is relative
+    # to the second moment.  "diagonal" takes the diagonal path, "exp" the
+    # truncated eigendecomposition, "lowrank" pivoted Cholesky up to rank
+    # N // 4 and the eigendecomposition above, "sinc" either by its width.
     rng = np.random.default_rng(seed)
     b = make_basis(n, 2.0)
     sysm = DOSystem(
@@ -308,6 +318,9 @@ def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank, kind)
          RandomParameter("g", "gaussian", mean=1.0, stddev=0.3, quad_order=2)))
     f = StochasticForcing(SpectralVector(b, rng.standard_normal(n)),
                           SpectralMatrix(b, random_covariance(kind, rng, b, rank)))
+    assert f.factor_method in (expected_factor_method(kind, n, rank) or
+                               ("pivoted_cholesky", "eigh"))
+    assert 0.0 <= f.psd_margin <= _PSD_RTOL
     grid = tensor_cubature(sysm.random_params)
     var = propagate_moments(sysm, b, f, grid).variance.coeffs
     ref, scale = dense_variance(sysm, b, f, grid)
@@ -315,22 +328,50 @@ def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank, kind)
     assert np.all(var >= 0.0)
 
 
+@pytest.mark.parametrize("delta", [1e-9, 1e-6])
+def test_uncertified_factor_falls_back_to_eigh(delta):
+    # rank 2 plus an indefinite +-delta max|C| pair off the diagonal:
+    # pivoted Cholesky stops at rank 2 with max|R| = delta max|C|, and
+    # N delta = 3.2e-8 > _PSD_RTOL cannot certify C, so eigh decides.  It
+    # accepts lambda_min = -9.8e-10 max|C| and rejects -9.8e-7 max|C|.
+    n = 32
+    g = np.random.default_rng(3).standard_normal((n, 2))
+    c = g @ g.T
+    c[3, 7] = c[7, 3] = c[3, 7] + delta * np.abs(c).max()
+    b = make_basis(n, 1.0)
+    if delta > _PSD_RTOL:
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            StochasticForcing(zero_mean(b), SpectralMatrix(b, c))
+        return
+    f = StochasticForcing(zero_mean(b), SpectralMatrix(b, c))
+    lam = np.linalg.eigvalsh(c)
+    assert f.factor_method == "eigh"
+    assert f.psd_margin == pytest.approx(-lam[0] / np.abs(c).max(), rel=1e-6)
+    assert f.rank == np.count_nonzero(lam > n * np.finfo(float).eps * lam[-1])
+
+
 def ex5_sinc_covariance(n):
     with open(os.path.join(CONFIGS, "example5.json")) as fh:
         cfg = json.load(fh)
     spec = cfg["forcing"]["covariance"]
-    kernel = lambda t1, t2: spec["variance"] * np.sinc((t1 - t2) / spec["width"])
-    return project_bivariate(kernel, make_basis(n, cfg["horizon"]))
+    kernel = lambda tau: spec["variance"] * np.sinc(tau / spec["width"])
+    return project_stationary(kernel, make_basis(n, cfg["horizon"]))
 
 
-@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("n", [64, 512, 2048])
 def test_sinc_factor_rank_and_residual(n):
+    # pivoted Cholesky stopped at trace(S) <= N eps trace(C); the
+    # eigendecomposition's lambda <= N eps lambda_max cut kept 7 at 64 and 512
+    rank = {64: 8, 512: 7, 2048: 7}[n]
     c = ex5_sinc_covariance(n)
     f = StochasticForcing(zero_mean(c.basis), c)
     fac = f._factor
-    assert f.rank == 7 and fac.shape == (n, 7)
+    assert f.factor_method == "pivoted_cholesky"
+    assert f.rank == rank and fac.shape == (n, rank)
     scale = np.abs(c.coeffs).max()
-    assert np.abs(fac @ fac.T - c.coeffs).max() <= 1e-12 * scale
+    residual = np.abs(fac @ fac.T - c.coeffs).max()
+    assert residual <= 1e-12 * scale
+    assert f.psd_margin == pytest.approx(n * residual / scale, rel=1e-2)
 
 
 def test_white_noise_factor_is_its_diagonal():
