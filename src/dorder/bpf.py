@@ -20,6 +20,7 @@ numerically and may miss 2 by an ulp (see `_block_mean`).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 __all__ = [
     "BpfBasis", "SpectralVector", "SpectralMatrix",
@@ -219,11 +220,7 @@ def project_stationary(k, basis, quad_order=5):
         lag = int(np.argwhere(bad)[0][0])
         raise ValueError(f"kernel not finite at block lag {lag}, |t1 - t2| in "
                          f"[{max(lag - 1, 0) * basis.width:g}, {(lag + 1) * basis.width:g}]")
-    col = _block_mean(_block_mean(vals, w), w)
-    # row i of the grid is col[|i - j|], the window of (col reversed, col) ending at N - 1 + i
-    both = np.concatenate((col[:0:-1], col))
-    windows = np.lib.stride_tricks.sliding_window_view(both, basis.n_funcs)
-    return SpectralMatrix(basis, windows[::-1].copy())
+    return SpectralMatrix(basis, toeplitz(_block_mean(_block_mean(vals, w), w)))
 
 
 def _block_index(basis, t):
