@@ -6,68 +6,19 @@ first and second moment propagation under random forcing and
 stochastic collocation over random coefficients.  An independent
 reference suite (series, quadrature, time stepping, Monte Carlo)
 backs every numerical claim.
+
+The public names of each layer are declared once, in its module's
+__all__; the package re-exports them all, plus the oracles module.
 """
 
 __version__ = "0.1.0"
 
-from .bpf import (
-    BpfBasis,
-    SpectralVector,
-    SpectralMatrix,
-    make_basis,
-    project_function,
-    project_bivariate,
-    project_stationary,
-    reconstruct,
-    reconstruct_bivariate,
-    delta_spectral,
-    white_noise_covariance,
-)
-from .opmat import (
-    OpMatrix,
-    gamma_fn,
-    integration_matrix,
-    derivative_matrix,
-    invert_lower_toeplitz,
-    identity_matrix,
-    apply,
-    compose,
-    to_dense,
-)
-from .dosys import (
-    DensityTerm,
-    RandomParameter,
-    DOSystem,
-    density_quadrature,
-    term_operator,
-    assemble_system_operator,
-    system_from_dict,
-    system_to_dict,
-)
-from .detsolve import solve, solve_ivp_shifted, impulse_response
-from .stochsolve import (
-    StochasticForcing,
-    MomentResult,
-    CubatureGrid,
-    parameter_quadrature,
-    tensor_cubature,
-    propagate_moments,
-)
-from . import oracles
+from . import bpf, opmat, dosys, detsolve, stochsolve, oracles
+from .bpf import *
+from .opmat import *
+from .dosys import *
+from .detsolve import *
+from .stochsolve import *
 
-__all__ = [
-    "BpfBasis", "SpectralVector", "SpectralMatrix",
-    "make_basis", "project_function", "project_bivariate", "project_stationary",
-    "reconstruct", "reconstruct_bivariate", "delta_spectral",
-    "white_noise_covariance",
-    "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",
-    "invert_lower_toeplitz", "identity_matrix", "apply", "compose",
-    "to_dense",
-    "DensityTerm", "RandomParameter", "DOSystem",
-    "density_quadrature", "term_operator", "assemble_system_operator",
-    "system_from_dict", "system_to_dict",
-    "solve", "solve_ivp_shifted", "impulse_response",
-    "StochasticForcing", "MomentResult", "CubatureGrid",
-    "parameter_quadrature", "tensor_cubature", "propagate_moments",
-    "oracles",
-]
+__all__ = [*bpf.__all__, *opmat.__all__, *dosys.__all__, *detsolve.__all__,
+           *stochsolve.__all__, "oracles"]

@@ -1,4 +1,4 @@
-"""Block pulse basis: projection, reconstruction, and singular inputs.
+"""Block pulse basis: projection and singular inputs.
 
 The basis splits [0, tau) into N half-open blocks of equal width and
 represents a function by its vector of block averages.  Bivariate
@@ -25,7 +25,6 @@ from scipy.linalg import toeplitz
 __all__ = [
     "BpfBasis", "SpectralVector", "SpectralMatrix",
     "make_basis", "project_function", "project_bivariate", "project_stationary",
-    "reconstruct", "reconstruct_bivariate",
     "delta_spectral", "white_noise_covariance",
 ]
 
@@ -221,27 +220,6 @@ def project_stationary(k, basis, quad_order=5):
         raise ValueError(f"kernel not finite at block lag {lag}, |t1 - t2| in "
                          f"[{max(lag - 1, 0) * basis.width:g}, {(lag + 1) * basis.width:g}]")
     return SpectralMatrix(basis, toeplitz(_block_mean(_block_mean(vals, w), w)))
-
-
-def _block_index(basis, t):
-    t = float(t)
-    if not 0.0 <= t < basis.horizon:
-        raise ValueError(f"time {t!r} outside [0, {basis.horizon})")
-    i = int(t * basis.n_funcs / basis.horizon)
-    return min(i, basis.n_funcs - 1)  # guard against roundoff at block edges
-
-
-def reconstruct(v, t):
-    """Value of the expansion at time t in [0, horizon).
-
-    Block edges belong to the block on their right.
-    """
-    return float(v.coeffs[_block_index(v.basis, t)])
-
-
-def reconstruct_bivariate(m, t1, t2):
-    """Value of a kernel expansion at (t1, t2), both in [0, horizon)."""
-    return float(m.coeffs[_block_index(m.basis, t1), _block_index(m.basis, t2)])
 
 
 def delta_spectral(basis):

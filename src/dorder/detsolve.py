@@ -16,13 +16,13 @@ column, and its product is exact.
 
 import numpy as np
 
-from .bpf import SpectralVector, delta_spectral
+from .bpf import SpectralVector
 from . import opmat
 from .dosys import DensityTerm, DOSystem, assemble_system_operator
 # not called here; kept bound so perfbench's tracer finds it by name
 from .dosys import term_operator  # noqa: F401
 
-__all__ = ["solve", "solve_ivp_shifted", "impulse_response"]
+__all__ = ["solve", "solve_ivp_shifted"]
 
 
 def _require_deterministic(sys):
@@ -37,11 +37,6 @@ def solve(sys, input_sv):
     _require_deterministic(sys)
     ag = assemble_system_operator(sys, input_sv.basis)
     return opmat.apply(ag, input_sv)
-
-
-def impulse_response(sys, basis):
-    """Response to a unit impulse (first-block rectangular pulse)."""
-    return solve(sys, delta_spectral(basis))
 
 
 def _relaxation_form(sys, y0):

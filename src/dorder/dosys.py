@@ -190,9 +190,6 @@ class DOSystem:
             if isinstance(t.coeff, str) and t.coeff not in names:
                 raise ValueError(f"term references unknown parameter {t.coeff!r}")
 
-    def param_names(self):
-        return tuple(p.name for p in self.random_params)
-
 
 def _count(key, v):
     """v as an int >= 1; ValueError naming key for 0, 2.5 or True."""

@@ -29,9 +29,8 @@ from scipy.special import gamma as _gamma
 from .bpf import BpfBasis, SpectralVector
 
 __all__ = [
-    "OpMatrix", "gamma_fn", "integration_matrix", "derivative_matrix",
-    "invert_lower_toeplitz", "identity_matrix", "truncated_product", "apply",
-    "compose", "to_dense",
+    "OpMatrix", "integration_matrix", "derivative_matrix",
+    "invert_lower_toeplitz", "truncated_product", "apply", "to_dense",
 ]
 
 
@@ -72,22 +71,6 @@ class OpMatrix:
         object.__setattr__(self, "first_col", c)
 
 
-def gamma_fn(x):
-    """Gamma function on the positive reals.
-
-    Thin validating wrapper over the library implementation (Lanczos
-    accuracy, relative error well under 1e-13 on this domain).
-    """
-    if not np.isfinite(x) or x <= 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x!r}")
-    return float(_gamma(x))
-
-
-def _require_same_basis(a, b):
-    if a.basis != b.basis:
-        raise ValueError("operands live on different bases")
-
-
 def integration_matrix(alpha, basis):
     """Operational matrix A_alpha of fractional integration of order alpha.
 
@@ -96,22 +79,21 @@ def integration_matrix(alpha, basis):
         (tau/N)^alpha / Gamma(alpha + 2) * f_p,
         f_1 = 1,  f_p = p^(alpha+1) - 2(p-1)^(alpha+1) + (p-2)^(alpha+1),
 
-    the second difference of p^(alpha+1).  Order 0 maps to the
-    identity by convention (all f_p with p >= 2 vanish); negative
-    orders are rejected, differentiation has its own constructor.
+    the second difference of p^(alpha+1).  Order 0 gives the identity
+    exactly: p - 2(p-1) + (p-2) is 0 in floating point, and the scale
+    is width^0 / Gamma(2) = 1.  Negative orders are rejected,
+    differentiation has its own constructor.
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"integration order must be >= 0, got {alpha!r}")
     n = basis.n_funcs
-    if alpha == 0:
-        return identity_matrix(basis)
     col = np.empty(n)
     col[0] = 1.0
     if n > 1:
         p = np.arange(2, n + 1, dtype=float)
         e = alpha + 1.0
         col[1:] = p ** e - 2.0 * (p - 1.0) ** e + (p - 2.0) ** e
-    col *= basis.width ** alpha / gamma_fn(alpha + 2.0)
+    col *= basis.width ** alpha / _gamma(alpha + 2.0)
     return OpMatrix(basis, col, label=f"A_{alpha:g}")
 
 
@@ -127,17 +109,11 @@ def derivative_matrix(alpha, basis):
     """
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"derivative order must be >= 0, got {alpha!r}")
+    a = integration_matrix(alpha, basis)
     if alpha == 0:
-        return identity_matrix(basis)
-    m = invert_lower_toeplitz(integration_matrix(alpha, basis))
+        return a  # the identity; the recurrence would write -0.0 below e_0
+    m = invert_lower_toeplitz(a)
     return OpMatrix(m.basis, m.first_col, label=f"B_{alpha:g}")
-
-
-def identity_matrix(basis):
-    """The identity element of the Toeplitz ring."""
-    col = np.zeros(basis.n_funcs)
-    col[0] = 1.0
-    return OpMatrix(basis, col, label="I")
 
 
 def invert_lower_toeplitz(m):
@@ -254,17 +230,9 @@ def apply(m, v):
     Lower-triangular Toeplitz action is the truncated convolution of
     the first column with the coefficient vector.
     """
-    _require_same_basis(m, v)
+    if m.basis != v.basis:
+        raise ValueError("operands live on different bases")
     return SpectralVector(m.basis, truncated_product(m.first_col, v.coeffs))
-
-
-def compose(a, b):
-    """Ring product a @ b: truncated convolution of first columns.
-
-    Convolution commutes, so compose(a, b) == compose(b, a) exactly.
-    """
-    _require_same_basis(a, b)
-    return OpMatrix(a.basis, truncated_product(a.first_col, b.first_col))
 
 
 def to_dense(m):

@@ -23,7 +23,7 @@ __all__ = [
     "mittag_leffler", "analytic_impulse_example1",
     "variance_double_integrator", "freq_response",
     "steady_state_variance_frequency", "gl_weights", "gl_solve",
-    "sample_gaussian_process", "ForcingModel", "McResult", "mc_moments",
+    "ForcingModel", "McResult", "mc_moments",
 ]
 
 
@@ -349,29 +349,6 @@ def _grid_cholesky(cov_fn, t):
         raise ValueError(f"covariance is not positive semidefinite on the grid: {e}") from e
 
 
-def _mean_values(mean_fn, t):
-    """A constant or a callable of time on the grid t; pointwise if it does not broadcast."""
-    if not callable(mean_fn):
-        return np.full(t.shape, float(mean_fn))
-    v = np.asarray(mean_fn(t), dtype=float)
-    if v.shape != t.shape:
-        v = np.array([float(mean_fn(ti)) for ti in t])
-    return v
-
-
-def sample_gaussian_process(mean_fn, cov_fn, time_grid, seed):
-    """One path of a Gaussian process on a fixed grid.
-
-    Factorizes the gridded covariance (jitter 1e-10 * trace on the
-    diagonal) and returns mean + L z with z standard normal from the
-    seeded generator.  Same seed, same path.
-    """
-    t = np.asarray(time_grid, dtype=float)
-    ell = _grid_cholesky(cov_fn, t)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _mean_values(mean_fn, t) + ell @ rng.standard_normal(t.size)
-
-
 @dataclass(frozen=True)
 class ForcingModel:
     """Continuous-time forcing description for the Monte Carlo driver.
@@ -395,7 +372,13 @@ class ForcingModel:
                 f"white_intensity must be finite and nonnegative, got {self.white_intensity!r}")
 
     def mean_values(self, t):
-        return _mean_values(self.mean_fn, t)
+        """The mean on the grid t; pointwise if mean_fn does not broadcast."""
+        if not callable(self.mean_fn):
+            return np.full(t.shape, float(self.mean_fn))
+        v = np.asarray(self.mean_fn(t), dtype=float)
+        if v.shape != t.shape:
+            v = np.array([float(self.mean_fn(ti)) for ti in t])
+        return v
 
 
 @dataclass(frozen=True, eq=False)

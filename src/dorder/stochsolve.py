@@ -115,15 +115,27 @@ def _factor_covariance(c):
     0.  Any other C is tried by pivoted Cholesky first, and kept if
     C - F F^T = R certifies it: lambda_min(C) >= lambda_min(sym R) >=
     -N max|R| (Gershgorin), so N max|R| <= _PSD_RTOL max|C| proves the
-    eigendecomposition would not reject C.  Else, and for a rank past
+    eigendecomposition would not reject C.  Since C - C^T = R - R^T (up
+    to the rounding of F F^T), 2 max|R| <= _SYM_RTOL max|C| also proves
+    C symmetric; only where that bound does not (a certified factor
+    below N = 200, or no certified factor) does the dense check
+    max|C - C^T| run.  Without a certified factor, also for a rank past
     N // 4, the symmetric eigendecomposition decides, dropping the
     eigenvalues at or below _rank_rtol(n) * lambda_max.
     """
     n = c.shape[0]
     d = np.diag(c)
     diagonal = np.count_nonzero(c) == np.count_nonzero(d)
-    m = np.abs(d if diagonal else c).max()
+    m = np.abs(d).max() if diagonal else max(c.max(), -c.min())
     floor = m if m > 0 else 1.0
+    fac = None if diagonal else _pivoted_cholesky(c)
+    if fac is not None:
+        res = _max_residual(c, fac)
+        margin = n * res / floor
+        if margin > _PSD_RTOL:
+            fac = None
+        elif 2 * res <= _SYM_RTOL * floor:
+            return fac, "pivoted_cholesky", margin
     if not diagonal:
         skew = np.abs(c - c.T).max()
         if skew > _SYM_RTOL * floor:
@@ -135,11 +147,8 @@ def _factor_covariance(c):
     if diagonal:
         return (np.where(d > _rank_rtol(n) * max(d.max(), 0.0), d, 0.0), "diagonal",
                 max(0.0, -d.min()) / floor)
-    fac = _pivoted_cholesky(c)
     if fac is not None:
-        margin = n * _max_residual(c, fac) / floor
-        if margin <= _PSD_RTOL:
-            return fac, "pivoted_cholesky", margin
+        return fac, "pivoted_cholesky", margin
     # block averaging preserves positive semidefiniteness exactly, so a
     # clearly negative eigenvalue means the kernel itself is indefinite.
     # The symmetric part has the same quadratic form as C.

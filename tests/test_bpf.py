@@ -1,4 +1,4 @@
-"""Block pulse basis: projection, reconstruction, spectral containers."""
+"""Block pulse basis: projection, spectral containers."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dorder.bpf import (BpfBasis, SpectralVector, SpectralMatrix, make_basis,
                         project_function, project_bivariate, project_stationary,
-                        reconstruct, reconstruct_bivariate, delta_spectral,
-                        white_noise_covariance, _gl_block_points)
+                        delta_spectral, white_noise_covariance, _gl_block_points)
 
 
 def test_basis_geometry():
@@ -136,25 +135,15 @@ def test_project_nonfinite_rejected():
         project_function(lambda t: np.where(t < 0.5, 1.0, np.nan), b)
 
 
-def test_reconstruct_half_open_blocks():
-    b = make_basis(4, 1.0)
-    v = SpectralVector(b, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert reconstruct(v, 0.0) == 1.0
-    # interior edges belong to the right block
-    assert reconstruct(v, 0.25) == 2.0
-    assert reconstruct(v, 0.999999) == 4.0
-    for t in (-0.01, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            reconstruct(v, t)
-
-
 @settings(max_examples=50)
 @given(st.integers(2, 64), st.floats(0.1, 50.0))
 def test_project_reconstruct_idempotent(n, tau):
     rng = np.random.default_rng(n)
     b = make_basis(n, tau)
     v = SpectralVector(b, rng.standard_normal(n))
-    w = project_function(lambda t: np.array([reconstruct(v, ti) for ti in np.atleast_1d(t)]), b)
+    # the step function of v: value v_i on block i
+    step = lambda t: v.coeffs[np.minimum((t * n / tau).astype(int), n - 1)]
+    w = project_function(step, b)
     assert np.allclose(w.coeffs, v.coeffs, rtol=1e-13, atol=1e-13)
 
 
@@ -225,14 +214,6 @@ def test_bivariate_scalar_fallback():
     m = project_bivariate(g, b)
     ref = project_bivariate(lambda a, c: a * c, b)
     assert np.allclose(m.coeffs, ref.coeffs, atol=1e-15)
-
-
-def test_reconstruct_bivariate():
-    b = make_basis(4, 1.0)
-    m = SpectralMatrix(b, np.arange(16.0).reshape(4, 4))
-    assert reconstruct_bivariate(m, 0.1, 0.8) == m.coeffs[0, 3]
-    with pytest.raises(ValueError):
-        reconstruct_bivariate(m, 0.1, 1.0)
 
 
 def test_delta_spectral():

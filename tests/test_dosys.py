@@ -342,7 +342,7 @@ def test_system_from_dict_roundtrip():
     sysm = system_from_dict(EX)
     assert len(sysm.lhs_terms) == 2 and len(sysm.rhs_terms) == 1
     assert sysm.lhs_terms[1].coeff == "a"
-    assert sysm.param_names() == ("a",)
+    assert tuple(p.name for p in sysm.random_params) == ("a",)
     again = system_from_dict(system_to_dict(sysm))
     assert again == sysm
 

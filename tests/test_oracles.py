@@ -16,8 +16,8 @@ from dorder import oracles
 from dorder.oracles import (mittag_leffler, analytic_impulse_example1,
                             variance_double_integrator, freq_response,
                             steady_state_variance_frequency, gl_weights,
-                            gl_solve, sample_gaussian_process, ForcingModel,
-                            mc_moments, _RunningMoments)
+                            gl_solve, ForcingModel, mc_moments, _RunningMoments,
+                            _grid_cholesky)
 
 
 def make_sys(lhs, rhs, params=()):
@@ -325,40 +325,41 @@ def test_gl_solve_validation():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian process sampling
+# Gaussian process paths: mc_moments draws mean + L z
 
 SQE = lambda a, b: np.exp(-0.5 * (a - b) ** 2)
 
 
 def test_gp_same_seed_same_path():
-    t = np.linspace(0.0, 2.0, 16)
-    p1 = sample_gaussian_process(0.0, SQE, t, 42)
-    p2 = sample_gaussian_process(0.0, SQE, t, 42)
-    p3 = sample_gaussian_process(0.0, SQE, t, 43)
-    assert np.array_equal(p1, p2)
-    assert not np.array_equal(p1, p3)
+    sysm = make_sys([point("lhs", 1.0, 1.0)], [point("rhs", 1.0, 0.0)])
+    fm = ForcingModel(kernel=SQE)
+    p1, p2, p3 = (mc_moments(sysm, fm, 2.0, 16, 20, seed=s) for s in (42, 42, 43))
+    assert np.array_equal(p1.mean, p2.mean) and np.array_equal(p1.variance, p2.variance)
+    assert not np.array_equal(p1.mean, p3.mean)
 
 
 def test_gp_mean_function_applied():
     t = np.linspace(0.0, 1.0, 8)
-    p = sample_gaussian_process(lambda x: 5.0 + 0.0 * x,
-                                lambda a, b: 1e-30 * np.equal(a, b), t, 0)
-    assert np.allclose(p, 5.0, atol=1e-10)
+    # a constant, a broadcasting callable, and one evaluated point by point
+    for mean_fn in (5.0, lambda x: 5.0 + 0.0 * x, lambda x: 5.0):
+        assert np.array_equal(ForcingModel(mean_fn=mean_fn).mean_values(t), np.full(8, 5.0))
 
 
 def test_gp_empirical_covariance():
     t = np.linspace(0.0, 3.0, 6)
-    rng = np.random.default_rng(2024)
-    paths = np.array([sample_gaussian_process(0.0, SQE, t, rng) for _ in range(4000)])
-    emp = paths.T @ paths / 4000
-    assert np.max(np.abs(emp - SQE(t[:, None], t[None, :]))) < 0.12
+    k = SQE(t[:, None], t[None, :])
+    ell = _grid_cholesky(SQE, t)
+    assert np.array_equal(ell, np.tril(ell))
+    assert np.allclose(ell @ ell.T, k + 1e-10 * np.trace(k) * np.eye(6), rtol=0, atol=1e-15)
+    paths = ell @ np.random.default_rng(2024).standard_normal((6, 4000))
+    emp = paths @ paths.T / 4000
+    assert np.max(np.abs(emp - k)) < 0.12
 
 
 def test_gp_rejects_indefinite_kernel():
     t = np.linspace(0.0, 1.0, 6)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        sample_gaussian_process(0.0, lambda a, b: -np.ones_like(a - b) +
-                                2.0 * np.equal(a, b), t, 0)
+        _grid_cholesky(lambda a, b: -np.ones_like(a - b) + 2.0 * np.equal(a, b), t)
 
 
 # ---------------------------------------------------------------------------

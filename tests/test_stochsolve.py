@@ -18,7 +18,8 @@ from dorder.dosys import (DensityTerm, RandomParameter, DOSystem,
                           _bind)
 from dorder.stochsolve import (StochasticForcing, CubatureGrid,
                                parameter_quadrature, tensor_cubature,
-                               propagate_moments, _node_moments, _PSD_RTOL)
+                               propagate_moments, _node_moments, _PSD_RTOL,
+                               _SYM_RTOL)
 from dorder.detsolve import solve
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -348,6 +349,31 @@ def test_uncertified_factor_falls_back_to_eigh(delta):
     assert f.factor_method == "eigh"
     assert f.psd_margin == pytest.approx(-lam[0] / np.abs(c).max(), rel=1e-6)
     assert f.rank == np.count_nonzero(lam > n * np.finfo(float).eps * lam[-1])
+
+
+@pytest.mark.parametrize("delta,sign", [(1e-10, -1), (2e-11, -1), (1e-10, 1)])
+def test_residual_bounds_the_asymmetry(delta, sign):
+    # rank 2 plus a delta max|C| pair off the diagonal, antisymmetric
+    # (sign -1) or symmetric: pivoted Cholesky stops at rank 2 with
+    # max|R| = delta max|C|, and N delta <= 3.2e-9 certifies C as PSD.
+    # C - C^T = R - R^T bounds the asymmetry by 2 delta max|C|, which
+    # passes _SYM_RTOL only up to delta = 5e-11; above it the dense check
+    # decides, and rejects the antisymmetric pair but keeps the factor of
+    # the symmetric one.
+    n = 32
+    g = np.random.default_rng(3).standard_normal((n, 2))
+    c = g @ g.T
+    m = np.abs(c).max()
+    c[3, 7] += delta * m
+    c[7, 3] += sign * delta * m
+    b = make_basis(n, 1.0)
+    if sign < 0 and 2 * delta > _SYM_RTOL:
+        with pytest.raises(ValueError, match="not symmetric"):
+            StochasticForcing(zero_mean(b), SpectralMatrix(b, c))
+        return
+    f = StochasticForcing(zero_mean(b), SpectralMatrix(b, c))
+    assert f.factor_method == "pivoted_cholesky" and f.rank == 2
+    assert f.psd_margin == pytest.approx(n * delta, rel=1e-5)
 
 
 def ex5_sinc_covariance(n):
