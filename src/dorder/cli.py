@@ -25,7 +25,7 @@ from .bpf import (make_basis, project_function, project_bivariate, project_stati
                   delta_spectral, white_noise_covariance)
 from .dosys import system_from_dict, system_to_dict
 from .detsolve import solve, solve_ivp_shifted, _relaxation_form
-from .stochsolve import StochasticForcing, tensor_cubature, propagate_moments
+from .stochsolve import StochasticForcing, propagate_moments
 from . import oracles
 
 SCHEMA_VERSION = 1
@@ -135,10 +135,10 @@ def _kernel_fn(spec):
         width = _finite(spec, "width", 2.0 * math.pi)
         if var < 0 or width <= 0:
             raise ConfigError("sinc covariance needs variance >= 0 and width > 0")
-        # written out twice: a kernel calling lag(t1 - t2) would hold the
-        # difference grid alive through the call, one more N x N array in mc
-        return ((lambda t1, t2: var * np.sinc((t1 - t2) / width)),
-                (lambda tau: var * np.sinc(tau / width)), None)
+        def kernel(t1, t2):
+            return var * np.sinc((t1 - t2) / width)
+
+        return kernel, (lambda tau: kernel(tau, 0.0)), None
     if form == "table":
         t = _finite(spec, "t", None, 1)
         k = _finite(spec, "k", None, 2)
@@ -347,10 +347,9 @@ def _refinement_check(spec, sysm, basis):
         sysm,
         random_params=tuple(dataclasses.replace(p, quad_order=p.quad_order + 2)
                             for p in sysm.random_params))
-    grid = tensor_cubature(bumped.random_params)
 
     def check(variance, mean, forcing):
-        r = propagate_moments(bumped, basis, forcing, grid)
+        r = propagate_moments(bumped, basis, forcing)
         v = r.variance.coeffs
         dm = float(np.max(np.abs(r.mean.coeffs - mean)) / max(np.max(np.abs(mean)), 1e-300))
         dv = float(np.max(np.abs(v - variance)) / max(np.max(np.abs(variance)), 1e-300))
@@ -464,7 +463,7 @@ def _prepare_mc(cfg, sysm, horizon, args):
 
     def run():
         r = oracles.mc_moments(sysm, forcing, horizon, args.n_grid,
-                               args.samples, args.seed, halton=args.halton)
+                               args.samples, args.seed)
         return [("t", r.times), ("mean", r.mean), ("variance", r.variance),
                 ("mean_stderr", r.se_mean), ("variance_stderr", r.se_variance)], None, None
 
@@ -551,12 +550,10 @@ def cmd_oracle(args):
         else:
             raise ConfigError(
                 f"unknown oracle {name!r}; available: {', '.join(_ORACLE_NAMES)}")
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except ValueError as e:  # ConfigError included
+        return _fail(1, e)
     except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return _fail(2, e)
     for v in out:
         print(repr(float(v)))
     return 0
@@ -596,10 +593,8 @@ def build_parser():
     p.add_argument("--n-grid", type=int, default=512, help="time steps (default 512)")
     p.add_argument("--samples", type=int, default=10000, help="sample count (default 10000)")
     p.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
-    p.add_argument("--halton", action="store_true",
-                   help="scrambled Halton stream for parameter draws")
     p.set_defaults(func=_run, prepare=_prepare_mc,
-                   flags=("n_grid", "horizon", "samples", "seed", "halton", "output"))
+                   flags=("n_grid", "horizon", "samples", "seed", "output"))
 
     p = sub.add_parser("oracle", help="print reference values")
     p.add_argument("name", help="|".join(_ORACLE_NAMES))

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cholesky
 from scipy.special import gammaln, rgamma, ndtri
-from scipy.stats import qmc
 
 from .dosys import density_quadrature, _density_callable, _resolve_coeff
 
@@ -390,9 +389,6 @@ class McResult:
     variance: np.ndarray = field(repr=False)
     se_mean: np.ndarray = field(repr=False)
     se_variance: np.ndarray = field(repr=False)
-    n_samples: int = 0
-    seed: int = 0
-    halton: bool = False
 
 
 class _RunningMoments:
@@ -446,14 +442,14 @@ def _draw_parameters(params, u):
     return out
 
 
-def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
+def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed):
     """Monte Carlo output moments via Grunwald-Letnikov inner solves.
 
-    Per sample: draw parameter values (inverse CDF from a Halton or
-    pseudorandom uniform stream), draw a forcing path (Gaussian
-    process for kernel covariances, independent normals scaled by
-    sqrt(intensity/step) for white noise), march the sample equation,
-    and fold the path into one-pass moment accumulators.
+    Per sample: draw parameter values (inverse CDF from a pseudorandom
+    uniform stream), draw a forcing path (Gaussian process for kernel
+    covariances, independent normals scaled by sqrt(intensity/step)
+    for white noise), march the sample equation, and fold the path
+    into one-pass moment accumulators.
 
     Per-sample generators are spawned from SeedSequence(seed), one
     child per sample index, so the result is independent of evaluation
@@ -481,19 +477,11 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
                    else math.sqrt(forcing.white_intensity / h))
 
     params = sys.random_params
-    u_halton = None
-    if halton and params:
-        u_halton = qmc.Halton(d=len(params), scramble=True, seed=seed).random(n_samples)
-
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = _RunningMoments(n_grid)
     for i in range(n_samples):
         rng = np.random.default_rng(children[i])
-        if params:
-            u = u_halton[i] if u_halton is not None else rng.random(len(params))
-            values = _draw_parameters(params, u)
-        else:
-            values = {}
+        values = _draw_parameters(params, rng.random(len(params))) if params else {}
         path = mean_vals
         if ell is not None:
             path = mean_vals + ell @ rng.standard_normal(n_grid)
@@ -502,5 +490,4 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed, halton=False):
         acc.update(_gl_march(lhs_cols, rhs_cols, path, values))
 
     return McResult(times, acc.mean.copy(), acc.variance(), acc.se_mean(),
-                    acc.se_variance(), n_samples=n_samples, seed=seed,
-                    halton=bool(halton))
+                    acc.se_variance())

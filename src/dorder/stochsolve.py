@@ -325,9 +325,8 @@ def propagate_moments(sys, basis, forcing, grid=None):
     forcing : StochasticForcing
         Input mean and covariance on the same basis.
     grid : CubatureGrid, optional
-        Override the cubature built from sys.random_params (used by
-        refinement checks); deterministic systems get a single
-        unit-weight node.
+        Override the cubature built from sys.random_params;
+        deterministic systems get a single unit-weight node.
 
     Returns
     -------

@@ -424,18 +424,6 @@ def test_mc_random_parameters_only():
     assert abs(r.variance[i] - 1.0 / 12.0) <= 3.0 * r.se_variance[i]
 
 
-def test_mc_halton_deterministic_and_accurate():
-    sysm = make_sys([point("lhs", 1.0, 1.0)],
-                    [point("rhs", "k", 0.0)],
-                    [RandomParameter("k", "uniform", lo=0.5, hi=1.5)])
-    fm = ForcingModel(mean_fn=1.0)
-    a = mc_moments(sysm, fm, 1.0, 16, 800, seed=11, halton=True)
-    b = mc_moments(sysm, fm, 1.0, 16, 800, seed=11, halton=True)
-    assert np.array_equal(a.mean, b.mean)
-    # low-discrepancy draws beat the pseudorandom error here
-    assert abs(a.mean[-1] - 1.0) < 2e-3
-
-
 def test_mc_validation():
     sysm = make_sys([point("lhs", 1.0, 1.0)], [point("rhs", 1.0, 0.0)])
     fm = ForcingModel(mean_fn=0.0, white_intensity=1.0)
