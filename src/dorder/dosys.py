@@ -292,22 +292,29 @@ def _system_columns(sys, basis):
                  for terms in (sys.lhs_terms, sys.rhs_terms))
 
 
-def _bind(columns, basis, param_values):
-    """A_G = [sum LHS]^(-1) [sum RHS] from _system_columns: one inversion.
+def _bind(columns, basis, nodes):
+    """(J, N) stack of A_G = [sum LHS]^(-1) [sum RHS] first columns, one row per node.
 
-    Each side is the sum, in term order, of its order columns times
-    their coefficients at the given parameter values.
+    nodes is a sequence of J parameter value maps.  Each side is the
+    sum, in term order, of its order columns times their coefficients,
+    broadcast over the nodes, so every row has the bits of a sum built
+    for its node alone.  The J LHS columns are inverted in one call,
+    and each inverse multiplies its RHS column by truncated_product.  A
+    failure at one node names its row and carries it as .row.
     """
     n = basis.n_funcs
-    lhs, rhs = (sum((_resolve_coeff(t, param_values) * col for t, col in side_columns),
-                    np.zeros(n))
+    lhs, rhs = (sum((np.array([_resolve_coeff(t, v) for v in nodes])[:, None] * col
+                     for t, col in side_columns), np.zeros((len(nodes), n)))
                 for side_columns in columns)
-    if lhs[0] == 0.0:
-        raise ValueError(
-            f"singular LHS while assembling system with terms "
+    row = opmat._first_failing_row(lhs[:, 0] != 0.0)
+    if row is not None:
+        raise opmat._row_error(
+            ValueError, row,
+            f"singular LHS row {row} while assembling system with terms "
             f"{tuple(t for t, _ in columns[0])}: leading first-column entry is zero")
-    inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS"))
-    return opmat.OpMatrix(basis, opmat.truncated_product(inv.first_col, rhs), label="A_G")
+    inv = opmat.invert_lower_toeplitz(opmat.OpMatrix(basis, lhs, label="LHS")).first_col
+    ag = [opmat.truncated_product(g, r) for g, r in zip(inv, rhs)]
+    return opmat.OpMatrix(basis, np.array(ag).reshape(lhs.shape), label="A_G").first_col
 
 
 def assemble_system_operator(sys, basis, param_values=None):
@@ -316,9 +323,11 @@ def assemble_system_operator(sys, basis, param_values=None):
     Every random coefficient must be bound in param_values; fully
     deterministic systems may pass None.  Callers that assemble at many
     parameter values (stochsolve) build the term columns once and bind
-    them per value, through the same two helpers.
+    all of them in one stack, through the same two helpers; this is
+    the one-node case.
     """
-    return _bind(_system_columns(sys, basis), basis, param_values)
+    return opmat.OpMatrix(basis, _bind(_system_columns(sys, basis), basis, (param_values,))[0],
+                          label="A_G")
 
 
 # ---------------------------------------------------------------------------

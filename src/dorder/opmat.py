@@ -13,10 +13,20 @@ operand that is a scaled unit column c e_0 gives c times the other
 exactly, in O(N), so a result that is exact in exact arithmetic (an
 identity LHS, an impulse input) stays exact.  Otherwise columns of up
 to _FFT_MIN_N entries are convolved directly, and longer ones by a
-real FFT in O(N log N).  The inverse follows the same crossover: up to
+real FFT in O(N log N), with the first _FFT_MIN_N entries taken
+directly: the FFT's error is normwise, and the first entries are often
+the smallest.  The inverse follows the same crossover: up to
 _FFT_MIN_N entries the forward recurrence, above it a Newton iteration
 whose every result is certified by its residual f*g - e_0, with the
 recurrence as the fallback when the certificate fails.
+
+A (J, N) first column holds a stack of J operators on one basis, such
+as the LHS columns of J cubature nodes.  invert_lower_toeplitz inverts
+the whole stack in one pass, each step of the recurrence and each
+Newton product batched over the rows, and every row is bit-identical
+to the inverse of that row alone.  _row_products multiplies every row
+of a stack by shared columns, one lower-Toeplitz GEMM per column up to
+_FFT_MIN_N entries and a batched real FFT above.
 """
 
 from dataclasses import dataclass, field
@@ -48,12 +58,28 @@ _FFT_MIN_N = 512
 _RESIDUAL_TOL = 1e-13
 
 
+def _row_error(cls, row, message):
+    """cls(message) carrying the failing row of a stack as .row (None for one column)."""
+    err = cls(message)
+    err.row = row
+    return err
+
+
+def _first_failing_row(ok):
+    """Index of the first False in the per-row mask ok, or None."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
 @dataclass(frozen=True, eq=False)
 class OpMatrix:
     """Lower-triangular Toeplitz operator defined by its first column.
 
     The dense matrix has M[r, c] = first_col[r - c] for r >= c and 0
-    above the diagonal.
+    above the diagonal.  A (J, N) first_col is a stack of J operators,
+    one per row; invert_lower_toeplitz takes either form, apply and
+    to_dense one operator.  An error about one row of a stack names it
+    and carries it as .row.
     """
 
     basis: BpfBasis
@@ -62,13 +88,23 @@ class OpMatrix:
 
     def __post_init__(self):
         c = np.asarray(self.first_col, dtype=float)
-        if c.shape != (self.basis.n_funcs,):
-            raise ValueError(
-                f"first column has shape {c.shape}, expected ({self.basis.n_funcs},)")
-        if not np.isfinite(c).all():
-            raise RuntimeError(
-                f"operational matrix {self.label or '(unlabeled)'} has non-finite entries")
+        n = self.basis.n_funcs
+        if c.ndim not in (1, 2) or c.shape[-1] != n:
+            raise ValueError(f"first column has shape {c.shape}, expected ({n},) or (J, {n})")
         object.__setattr__(self, "first_col", c)
+        row = _first_failing_row(np.isfinite(np.atleast_2d(c)).all(axis=1))
+        if row is not None:
+            raise _row_error(RuntimeError, self._row(row),
+                             f"operational matrix {self._name(row)} has non-finite entries")
+
+    def _row(self, row):
+        """row for a stack, None for one column."""
+        return row if self.first_col.ndim == 2 else None
+
+    def _name(self, row):
+        """The label, with the row of a stack: 'LHS row 3'."""
+        name = self.label or "(unlabeled)"
+        return name if self._row(row) is None else f"{name} row {row}"
 
 
 def integration_matrix(alpha, basis):
@@ -117,7 +153,7 @@ def derivative_matrix(alpha, basis):
 
 
 def invert_lower_toeplitz(m):
-    """Invert a lower-triangular Toeplitz matrix on its first column.
+    """Invert a lower-triangular Toeplitz matrix, or a stack of them, on first columns.
 
     Columns of up to _FFT_MIN_N entries, and any column whose Newton
     inverse fails its certificate, take the forward recurrence
@@ -130,98 +166,151 @@ def invert_lower_toeplitz(m):
     A geometrically growing inverse, such as that of A_1.5, fails the
     certificate within a few dozen entries, so the recurrence still
     overflows loudly where it leaves double range instead of returning
-    garbage.
+    garbage.  A (J, N) stack is inverted in one pass (one column is its
+    one-row case); the singular and overflow checks are per row, and
+    the error names the first failing row.
     """
-    f = m.first_col
-    if f[0] == 0.0:
-        raise ValueError(f"matrix {m.label or '(unlabeled)'} is singular: "
+    f = np.atleast_2d(m.first_col)
+    row = _first_failing_row(f[:, 0] != 0.0)
+    if row is not None:
+        raise _row_error(ValueError, m._row(row), f"matrix {m._name(row)} is singular: "
                          "leading first-column entry is zero")
-    n = f.shape[0]
-    g = _newton_inverse(f) if n > _FFT_MIN_N else None
-    if g is None:
+    n = f.shape[1]
+    if n > _FFT_MIN_N:
+        g, certified = _newton_inverse(f)
+        if not certified.all():
+            g[~certified] = _recurrence_inverse(f[~certified])
+    else:
         g = _recurrence_inverse(f)
-    if not np.isfinite(g).all():
-        raise RuntimeError(
-            f"inverse of {m.label or '(unlabeled)'} overflowed double precision "
+    row = _first_failing_row(np.isfinite(g).all(axis=1))
+    if row is not None:
+        raise _row_error(
+            RuntimeError, m._row(row),
+            f"inverse of {m._name(row)} overflowed double precision "
             f"at N={n}; the inverse column grows geometrically for this operator")
-    return OpMatrix(m.basis, g, label=f"inv({m.label})" if m.label else "")
+    return OpMatrix(m.basis, g.reshape(m.first_col.shape),
+                    label=f"inv({m.label})" if m.label else "")
 
 
 def _recurrence_inverse(f):
-    """Forward recurrence for the inverse column of f, f_0 != 0.
+    """Forward recurrence for the inverse columns of the rows of f, f[:, 0] != 0.
 
     The sum pairs f_1..f_k with g_{k-1}..g_0, i.e. g read backwards.  A
     negative-stride view of g would be copied before every BLAS dot, so
-    the column is built in reverse (rev[N-1-k] = g_k), each step is a
-    dot of two contiguous slices, and it is flipped once at the end.
-    The products, their order, the dot length and the final division
-    are those of the plain recurrence on a reversed view of g, so the
-    column matches it bit for bit.
+    the columns are built in reverse (rev[:, N-1-k] = g_k), each step
+    is one stacked matmul (J, 1, k) @ (J, k, 1) of contiguous slices,
+    and they are flipped once at the end.  numpy runs each of those
+    1 x k by k x 1 products as the BLAS dot of np.dot, so the products,
+    their order, the dot length and the final division are those of the
+    plain recurrence on a reversed view of one column, and every row
+    matches it bit for bit.
     """
-    n = f.shape[0]
+    n = f.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        rev = np.zeros(n)
-        rev[n - 1] = 1.0 / f[0]
+        rev = np.zeros_like(f)
+        rev[:, n - 1] = 1.0 / f[:, 0]
+        rows, cols = f[:, None, :], rev[:, :, None]
         for k in range(1, n):
-            rev[n - 1 - k] = -np.dot(f[1:k + 1], rev[n - k:]) / f[0]
-    return rev[::-1].copy()
+            rev[:, n - 1 - k] = -(rows[:, :, 1:k + 1] @ cols[:, n - k:])[:, 0, 0] / f[:, 0]
+    return rev[:, ::-1].copy()
 
 
 def _newton_inverse(f):
-    """Certified Newton inverse of the column f, f_0 != 0, or None.
+    """Newton inverses of the rows of f, f[:, 0] != 0, and which are certified.
 
     Newton's iteration for a power series inverse (Brent & Kung,
     J. ACM 25(4), 1978) with length doubling: when g holds the first m
     entries of f^(-1), f*g = e_0 + r with r zero below entry m, and the
     entries m..2m-1 of f^(-1) are those of -g*r.  The first entry is
-    1/f_0 and no entry is changed once written.  The result is returned
-    only when max|f*g - e_0| <= _RESIDUAL_TOL; None (also for
-    non-finite entries) asks the caller for the recurrence.
+    1/f_0 and no entry is changed once written.  Every product is a
+    real FFT batched over the rows, whose error the certificate
+    covers.  Row j is certified when max|f_j*g_j - e_0| <= _RESIDUAL_TOL
+    (never for non-finite entries); the caller takes the recurrence for
+    the others.  A scaled unit column c e_0 has the exact inverse
+    e_0 / c and is always certified.
     """
-    n = f.shape[0]
-    g = np.zeros(n)
-    g[0] = 1.0 / f[0]
+    n = f.shape[1]
+    g = np.zeros_like(f)
+    g[:, 0] = 1.0 / f[:, 0]
     m = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while m < n:
             k = min(2 * m, n)
-            r = truncated_product(f[:k], g[:k])[m:]
-            g[m:k] = -truncated_product(g[:k - m], r)
+            r = _fft_product(f[:, :k], g[:, :k])[:, m:]
+            g[:, m:k] = -_fft_product(g[:, :k - m], r)
             m = k
-        res = truncated_product(f, g)
-        res[0] -= 1.0
-        certified = np.max(np.abs(res)) <= _RESIDUAL_TOL
-    return g if certified else None
+        res = _fft_product(f, g)
+        res[:, 0] -= 1.0
+        certified = np.max(np.abs(res), axis=1) <= _RESIDUAL_TOL
+    unit = ~f[:, 1:].any(axis=1)
+    g[unit, 1:] = 0.0
+    return g, certified | unit
 
 
 def truncated_product(a, b):
     """First N entries of the convolution of two length-N columns.
 
     This is the ring product of lower-triangular Toeplitz matrices, and
-    the action of one on a coefficient vector; every product of the
-    package goes through it.  A scaled unit column c e_0 on either side
-    returns c times the other, exactly and in O(N).  Otherwise N up to
-    _FFT_MIN_N convolves directly, and longer columns by _fft_product.
+    the action of one on a coefficient vector; every product of one
+    column pair goes through it.  A scaled unit column c e_0 on either
+    side returns c times the other, exactly and in O(N).  Otherwise N
+    up to _FFT_MIN_N convolves directly.  Longer columns take
+    _fft_product, and then their first _FFT_MIN_N entries are replaced
+    by the direct convolution of the first _FFT_MIN_N inputs, so every
+    entry there is accurate relative to itself.
     """
     if not a[1:].any():
         return a[0] * b
     if not b[1:].any():
         return b[0] * a
-    if a.shape[0] <= _FFT_MIN_N:
-        return np.convolve(a, b)[:a.shape[0]]
-    return _fft_product(a, b)
+    n, h = a.shape[0], _FFT_MIN_N
+    if n <= h:
+        return np.convolve(a, b)[:n]
+    out = _fft_product(a, b)
+    if h:
+        out[:h] = np.convolve(a[:h], b[:h])[:h]
+    return out
+
+
+def _row_products(a, columns):
+    """Every row of the (J, N) stack a times each column b: one (J, N) array per b.
+
+    Up to _FFT_MIN_N entries this is the GEMM a @ L(b)^T with the
+    lower-triangular Toeplitz matrix L(b), built once per column and
+    shared by all J rows.  Longer rows are transformed once and each b
+    by a batched real FFT, with the first _FFT_MIN_N entries replaced by
+    the same GEMM on the first _FFT_MIN_N inputs, as in
+    truncated_product; no N x N array is built, and each yielded array
+    is the only O(J N) one alive.  A scaled unit column, on either
+    side, gives its exact product.
+    """
+    n = a.shape[1]
+    h = min(n, _FFT_MIN_N)
+    unit = ~a[:, 1:].any(axis=1)
+    if n > h:
+        size = _fft.next_fast_len(2 * n - 1, real=True)
+        fa = _fft.rfft(a, size)
+    for b in columns:
+        if not b[1:].any():
+            yield b[0] * a
+            continue
+        out = _fft.irfft(fa * _fft.rfft(b, size), size)[:, :n] if n > h else np.empty_like(a)
+        out[:, :h] = a[:, :h] @ toeplitz(b[:h], np.zeros(h)).T
+        out[unit] = a[unit, :1] * b
+        yield out
 
 
 def _fft_product(a, b):
-    """First N entries of the convolution of two length-N columns by real FFT.
+    """First N entries of the convolution of length-N columns by real FFT.
 
-    The transform length is at least 2N - 1, so no entry wraps around.
-    The error of each entry is a rounding error of the whole product,
-    about eps max|a| max|b| N, not of that entry.
+    a and b may be stacks of columns along the first axis (broadcast
+    against each other).  The transform length is at least 2N - 1, so
+    no entry wraps around.  The error of each entry is a rounding error
+    of the whole product, about eps max|a| max|b| N, not of that entry.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     size = _fft.next_fast_len(2 * n - 1, real=True)
-    return _fft.irfft(_fft.rfft(a, size) * _fft.rfft(b, size), size)[:n]
+    return _fft.irfft(_fft.rfft(a, size) * _fft.rfft(b, size), size)[..., :n]
 
 
 def apply(m, v):

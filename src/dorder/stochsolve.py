@@ -16,17 +16,20 @@ summed with the probability weights in one weighted sum each, so node
 ordering moves results only at roundoff.
 
 Random parameters bind coefficients, never orders, so every term's
-integral-form column is built once per propagate_moments call.  Each node
-then costs one Toeplitz inversion of its LHS, one product A_j mu and
-one product of A_j with each of the r columns of the covariance factor
-(each O(N^2) up to 512 blocks and O(N log N) above, see opmat), in one
-pass that yields both moments.
+integral-form column is built once per propagate_moments call.  The
+J cubature nodes then take one pass over a (J, N) stack: the LHS
+columns of all nodes are inverted in one call, and the products A_j mu
+and A_j F_k, for the r columns F_k of the covariance factor, are one
+GEMM per forcing column, its lower-Toeplitz matrix shared by all nodes,
+up to 512 blocks (O(J N^2)) and a batched real FFT above
+(O(J N log N)), see opmat.  The pass yields both moments.
 
 The input covariance is factored once, C_kUU = F F^T, when the forcing
 is built.  A diagonal covariance (white noise) is its own factor.  Any
 other is factored by pivoted Cholesky, O(N r^2) for rank r, stopped
 once the trace left is at most n * eps * trace(C), and kept when the
-residual certifies C positive semidefinite (Gershgorin, O(N^2 r)).  A
+residual certifies C positive semidefinite (Gershgorin on the row and
+column sums of |C - F F^T|, O(N^2 r)).  A
 C the certificate does not pass, or of rank above N / 4, takes the
 symmetric eigendecomposition truncated to the eigenvalues above
 n * eps * lambda_max (numpy's `matrix_rank` rule), F = V_r
@@ -41,7 +44,7 @@ from itertools import product
 import numpy as np
 
 from .bpf import SpectralVector, SpectralMatrix
-from .opmat import truncated_product
+from .opmat import _row_products
 from .dosys import _bind, _system_columns
 # not called here; kept bound so perfbench's tracer finds it by name
 from .dosys import assemble_system_operator  # noqa: F401
@@ -93,15 +96,23 @@ def _pivoted_cholesky(c):
         d -= rows[m] * rows[m]
 
 
-def _max_residual(c, fac):
-    """max |C - F F^T|, one block of rows at a time (no second N x N array).
+def _residual_bounds(c, fac):
+    """(max|R|, Gershgorin bound) of R = C - F F^T, one block of rows at a time.
 
-    NaN propagates (an overflowed factor is never certified).
+    The bound is max(max row sum, max column sum) of |R|, at least the
+    largest row sum of |sym R| and so at least -lambda_min(sym R).  No
+    second N x N array is built.  NaN propagates (an overflowed factor
+    is never certified).
     """
     n = c.shape[0]
     step = max(1, 2 ** 18 // n)
-    return np.max([np.abs(c[i:i + step] - fac[i:i + step] @ fac.T).max()
-                   for i in range(0, n, step)])
+    peaks, row_sums, col_sums = [], [], np.zeros(n)
+    for i in range(0, n, step):
+        r = np.abs(c[i:i + step] - fac[i:i + step] @ fac.T)
+        peaks.append(r.max())
+        row_sums.append(r.sum(axis=1).max())
+        col_sums += r.sum(axis=0)
+    return np.max(peaks), np.max([*row_sums, col_sums.max()])
 
 
 def _factor_covariance(c):
@@ -114,8 +125,9 @@ def _factor_covariance(c):
     as that diagonal, entries at or below _rank_rtol(n) * max(d) set to
     0.  Any other C is tried by pivoted Cholesky first, and kept if
     C - F F^T = R certifies it: lambda_min(C) >= lambda_min(sym R) >=
-    -N max|R| (Gershgorin), so N max|R| <= _PSD_RTOL max|C| proves the
-    eigendecomposition would not reject C.  Since C - C^T = R - R^T (up
+    -G, G = max(max row sum, max column sum) of |R| (Gershgorin, at most
+    N max|R|), so G <= _PSD_RTOL max|C| proves the eigendecomposition
+    would not reject C.  Since C - C^T = R - R^T (up
     to the rounding of F F^T), 2 max|R| <= _SYM_RTOL max|C| also proves
     C symmetric; only where that bound does not (a certified factor
     below N = 200, or no certified factor) does the dense check
@@ -130,9 +142,9 @@ def _factor_covariance(c):
     floor = m if m > 0 else 1.0
     fac = None if diagonal else _pivoted_cholesky(c)
     if fac is not None:
-        res = _max_residual(c, fac)
-        margin = n * res / floor
-        if margin > _PSD_RTOL:
+        res, gershgorin = _residual_bounds(c, fac)
+        margin = gershgorin / floor
+        if not margin <= _PSD_RTOL:
             fac = None
         elif 2 * res <= _SYM_RTOL * floor:
             return fac, "pivoted_cholesky", margin
@@ -280,42 +292,48 @@ def tensor_cubature(params):
 
 
 def _node_moments(sys, basis, grid, forcing):
-    """Per-node A_j mu and diag(A_j C A_j^T), stacked by node.
+    """A_j mu and diag(A_j C A_j^T) for all nodes: two (J, N) stacks.
 
-    A_j is lower-triangular Toeplitz, so with the forcing's factor
-    C = F F^T the diagonal is rowsum((A_j F)^2): one truncated_product
-    of A_j's first column with each of the r columns of F, O(r N^2) up
-    to 512 blocks and O(r N log N) above.  For a diagonal C = diag(d)
-    it is the direct convolution of a^2 with d, O(N^2), at every N.
-    Both are sums of squares or of non-negative products.
+    _bind gives the (J, N) stack of A_j first columns.  A_j is
+    lower-triangular Toeplitz, so with the forcing's factor C = F F^T
+    the diagonal is rowsum((A_j F)^2), accumulated one column of F at a
+    time: opmat._row_products multiplies every A_j by mu and by each
+    column, a GEMM with that column's Toeplitz matrix shared by all
+    nodes up to 512 blocks (O(J N^2) each) and a batched real FFT above
+    (O(J N log N)).  For a diagonal C = diag(d) each row is the direct
+    convolution of a^2 with d, O(N^2), at every N.  Both are sums of
+    squares or of non-negative products.
     """
     columns = _system_columns(sys, basis)
+    try:
+        a = _bind(columns, basis, grid.nodes)
+    except (ValueError, RuntimeError) as e:
+        j = getattr(e, "row", None)
+        if j is None:
+            raise
+        raise type(e)(f"assembly failed at cubature node {j} {grid.nodes[j]}: {e}") from e
     fac = forcing._factor
-    mu = forcing.mean.coeffs
-    n = basis.n_funcs
-    a_mu, var = [], []
-    for j, node in enumerate(grid.nodes):
-        try:
-            a = _bind(columns, basis, node).first_col
-        except (ValueError, RuntimeError) as e:
-            raise type(e)(f"assembly failed at cubature node {j} {node}: {e}") from e
-        a_mu.append(truncated_product(a, mu))
-        if fac.ndim == 1:
-            # kept direct: an FFT product of these non-negative columns
-            # can return tiny negative variances
-            var.append(np.convolve(a * a, fac)[:n])
-        else:
-            af = np.column_stack([truncated_product(a, f) for f in fac.T])
-            var.append(np.einsum("ik,ik->i", af, af))
-    return np.stack(a_mu), np.stack(var)
+    if fac.ndim == 1:
+        (a_mu,) = _row_products(a, (forcing.mean.coeffs,))
+        # kept direct: an FFT product of these non-negative columns
+        # can return tiny negative variances
+        n = basis.n_funcs
+        return a_mu, np.array([np.convolve(r * r, fac)[:n] for r in a])
+    products = _row_products(a, (forcing.mean.coeffs, *fac.T))
+    a_mu = next(products)
+    var = np.zeros_like(a)
+    for af in products:
+        var += af * af
+    return a_mu, var
 
 
 def propagate_moments(sys, basis, forcing, grid=None):
     """Mean and variance of the output.
 
-    One pass over the cubature nodes: each node binds the term columns
-    (built once per call), inverts its LHS once and keeps A_j mu and
-    diag(A_j C A_j^T).  The mean sum_j w_j A_j mu and the centred
+    One pass over a (J, N) stack of the cubature nodes: the term
+    columns (built once per call) are bound at every node, the J LHS
+    columns are inverted in one call, and A_j mu and diag(A_j C A_j^T)
+    come out as two stacks.  The mean sum_j w_j A_j mu and the centred
     variance follow from those stacks.
 
     Parameters

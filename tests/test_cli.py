@@ -529,8 +529,8 @@ def test_stoch_manifest_diagnostics(workdir, example, n, rank, nodes):
     assert diagnostics == {"covariance_rank": rank, "covariance_factor": factor,
                            "rank_rtol": n * np.finfo(float).eps,
                            "cubature_nodes": nodes}
-    # white noise is its own factor; a pivoted factor's N max|C - F F^T| / max|C|
-    # certifies C only up to _PSD_RTOL
+    # white noise is its own factor; a pivoted factor's Gershgorin bound on
+    # C - F F^T, over max|C|, certifies C only up to _PSD_RTOL
     assert margin == 0.0 if factor == "diagonal" else 0.0 < margin <= 1e-8
 
 

@@ -316,7 +316,7 @@ def test_bound_columns_match_term_by_term_assembly(lhs, rhs, n, horizon, qa, qg)
         if isinstance(columns, type):  # a term operator itself failed
             assert columns is ref
             continue
-        got = outcome(lambda: _bind(columns, b, node).first_col)
+        got = outcome(lambda: _bind(columns, b, (node,))[0])
         one_shot = outcome(lambda: assemble_system_operator(sysm, b, node).first_col)
         if isinstance(ref, type):
             assert got is ref and one_shot is ref

@@ -260,10 +260,10 @@ def test_scaled_unit_column_product_is_exact(n, c, sign, seed):
 @given(st.integers(1, 128), st.integers(0, 2 ** 32 - 1))
 def test_newton_inverse_matches_recurrence(n, seed):
     f = decaying_column(n, seed)
-    loop = _recurrence_inverse(f)
+    loop = _recurrence_inverse(f[None])[0]
     with fft_everywhere():
-        g = _newton_inverse(f)
-    assert g is not None
+        (g,), (certified,) = _newton_inverse(f[None])
+    assert certified
     assert np.max(np.abs(g - loop)) <= 1e-13 * np.abs(loop).max()
 
 
@@ -274,7 +274,7 @@ def test_newton_inverse_is_causal(n, prefix, seed):
     p = min(prefix, n)
     f2 = np.concatenate([f[:p], other[p:] * f[0] / other[0]])
     with fft_everywhere():
-        g, g2 = _newton_inverse(f), _newton_inverse(f2)
+        (g, g2), _ = _newton_inverse(np.stack([f, f2]))
     assert np.max(np.abs(g[:p] - g2[:p])) <= 1e-13 * np.abs(g).max()
 
 
@@ -283,9 +283,125 @@ def test_certificate_rejects_growing_inverse_and_falls_back():
     # residual then reads 3e8, and the recurrence gives the column
     m = integration_matrix(1.5, make_basis(64, 1.0))
     with fft_everywhere():
-        assert _newton_inverse(m.first_col) is None
+        assert not _newton_inverse(m.first_col[None])[1][0]
         g = invert_lower_toeplitz(m).first_col
     assert np.array_equal(g, negative_stride_inverse(m.first_col))
+
+
+# ---------------------------------------------------------------------------
+# stacks: J columns inverted in one call, every row times shared columns
+
+CROSSOVERS = [512, 16, 0]  # direct paths only, FFT above 16 blocks, FFT everywhere
+
+
+def stack_row(kind, n, seed):
+    """One first column of a test stack, f_0 != 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "decaying":  # bounded inverse, certified by Newton
+        return decaying_column(n, seed)
+    if kind == "growing":  # A_alpha, alpha > 1: fails the certificate within a few dozen entries
+        return integration_matrix(rng.uniform(1.2, 2.0), make_basis(n, 1.0)).first_col
+    if kind == "overflowing":  # the inverse grows by about 2e5 per entry
+        s = 1.0 - 1e-5 * rng.uniform(0.5, 1.0)
+        f = np.full(n, -2.0 * s)
+        f[0] = 1.0 - s
+        return f
+    f = np.zeros(n)  # a scaled unit column: its inverse is exact on every path
+    f[0] = rng.uniform(0.1, 2.0)
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 96),
+       st.lists(st.sampled_from(["decaying", "growing", "overflowing", "unit"]),
+                min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(CROSSOVERS))
+def test_stacked_inverse_rows_match_single_inverses(n, kinds, seed, crossover):
+    # each row of one stacked inversion has the bits of invert_lower_toeplitz
+    # on that row alone, on the recurrence, on a certified Newton inverse
+    # and on the recurrence that follows a failed certificate; a stack with
+    # an overflowing row fails, naming the first such row
+    b = make_basis(n, 1.0)
+    stack = np.stack([stack_row(k, n, seed + j) for j, k in enumerate(kinds)])
+    with mock.patch.object(opmat, "_FFT_MIN_N", crossover):
+        singles = []
+        for row in stack:
+            try:
+                singles.append(invert_lower_toeplitz(OpMatrix(b, row)).first_col)
+            except RuntimeError as e:
+                assert "overflow" in str(e)
+                singles.append(None)
+        failed = [j for j, g in enumerate(singles) if g is None]
+        if failed:
+            with pytest.raises(RuntimeError, match=f"LHS row {failed[0]} overflowed") as info:
+                invert_lower_toeplitz(OpMatrix(b, stack, label="LHS"))
+            assert info.value.row == failed[0]
+            return
+        got = invert_lower_toeplitz(OpMatrix(b, stack, label="LHS")).first_col
+    assert got.shape == stack.shape
+    for row, single in zip(got, singles):
+        assert np.array_equal(row, single)
+
+
+def test_stacked_newton_certifies_each_row():
+    # a certified row, A_1.5 (whose residual reads 3e8 at N = 64) and a
+    # unit column in one stack: only A_1.5 goes to the recurrence
+    n = 64
+    stack = np.stack([decaying_column(n, 5), integration_matrix(1.5, make_basis(n, 1.0)).first_col,
+                      stack_row("unit", n, 5)])
+    with fft_everywhere():
+        g, certified = _newton_inverse(stack)
+        got = invert_lower_toeplitz(OpMatrix(make_basis(n, 1.0), stack)).first_col
+    assert certified.tolist() == [True, False, True]
+    assert np.array_equal(got[0], g[0]) and np.array_equal(got[2], g[2])
+    assert np.array_equal(got[1], negative_stride_inverse(stack[1]))
+    assert got[2, 0] == 1.0 / stack[2, 0] and not got[2, 1:].any()
+
+
+def test_stack_singular_row_is_named():
+    b = make_basis(4, 1.0)
+    stack = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="M row 1 is singular") as info:
+        invert_lower_toeplitz(OpMatrix(b, stack, label="M"))
+    assert info.value.row == 1
+    with pytest.raises(RuntimeError, match="M row 1 has non-finite") as info:
+        OpMatrix(b, np.array([[1.0, 0, 0, 0], [1.0, np.nan, 0, 0]]), label="M")
+    assert info.value.row == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 96), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(CROSSOVERS))
+def test_row_products_match_direct_convolution(n, j, seed, crossover):
+    # every row times each shared column, against np.convolve row by row;
+    # the first min(n, crossover) entries are direct on every path, so they
+    # are graded against the first inputs only.  Scaled unit columns, as a
+    # row or as the shared column, give exact products.
+    rows = np.stack(columns(n, seed, j))
+    rows[0, 1:] = 0.0
+    shared = columns(n, seed + 1, 3)
+    shared[2][1:] = 0.0
+    h = min(n, crossover)
+    with mock.patch.object(opmat, "_FFT_MIN_N", crossover):
+        products = list(opmat._row_products(rows, shared))
+    for b, out in zip(shared, products):
+        assert out.shape == rows.shape
+        assert np.array_equal(out[0], rows[0, 0] * b)
+        for a, got in zip(rows, out):
+            ref = np.convolve(a, b)[:n]
+            assert np.max(np.abs(got - ref)) <= product_tol(a, b)
+            if h:
+                assert np.max(np.abs(got[:h] - ref[:h])) <= product_tol(a[:h], b[:h])
+    assert np.array_equal(products[2], shared[2][0] * rows)
+
+
+def test_long_product_head_is_direct():
+    # above the crossover truncated_product takes the FFT and then its
+    # first 512 entries from np.convolve, bit for bit
+    a, b = columns(2048, 9, 2)
+    got = truncated_product(a, b)
+    assert np.array_equal(got[:512], np.convolve(a[:512], b[:512])[:512])
+    assert np.max(np.abs(got - np.convolve(a, b)[:2048])) <= product_tol(a, b)
 
 
 def test_apply_equals_dense_matvec():

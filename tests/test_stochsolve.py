@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,9 +184,26 @@ def test_node_failure_names_node():
         propagate_moments(sysm, b, f, grid)
 
 
-def test_one_inversion_per_node(monkeypatch):
+def test_overflowing_node_in_batch_is_named():
+    # D y + k y = u with k just above -2 / h: the LHS inverse of node 1
+    # grows by about 2.6e5 per block and leaves double range by N = 64,
+    # while nodes 0 and 2 are stable; the batch must name node 1
+    b = make_basis(64, 1.0)
+    sysm = DOSystem(
+        (DensityTerm("lhs", "derivative", 1.0, "point", order=1.0),
+         DensityTerm("lhs", "derivative", "k", "point", order=0.0)),
+        (DensityTerm("rhs", "derivative", 1.0, "point", order=0.0),),
+        (RandomParameter("k", "uniform", lo=-1.0, hi=1.0),))
+    grid = CubatureGrid(({"k": 1.0}, {"k": -127.999}, {"k": 2.0}), np.array([0.3, 0.4, 0.3]))
+    f = StochasticForcing(zero_mean(b), white_noise_covariance(b, 1.0))
+    with pytest.raises(RuntimeError, match=r"node 1 \{'k': -127.999\}.*overflow"):
+        propagate_moments(sysm, b, f, grid)
+
+
+def test_one_batched_inversion_per_pass(monkeypatch):
     # ex5's order columns are integration matrices, built once per call
-    # with no inversion; then each cubature node inverts only its own LHS
+    # with no inversion; then one call inverts the LHS of every cubature
+    # node, a stack of len(grid) rows
     with open(os.path.join(CONFIGS, "example5.json")) as fh:
         sysm = system_from_dict(json.load(fh))
     b = make_basis(32, 5.0)
@@ -193,7 +211,7 @@ def test_one_inversion_per_node(monkeypatch):
     invert = opmat.invert_lower_toeplitz
 
     def counting(m):
-        calls.append(m.label)
+        calls.append((m.label, m.first_col.shape))
         return invert(m)
 
     monkeypatch.setattr(opmat, "invert_lower_toeplitz", counting)
@@ -202,7 +220,7 @@ def test_one_inversion_per_node(monkeypatch):
     grid = tensor_cubature(sysm.random_params)
     f = StochasticForcing(project_function(np.cos, b), white_noise_covariance(b, 0.3))
     propagate_moments(sysm, b, f, grid)
-    assert calls == ["LHS"] * len(grid)
+    assert calls == [("LHS", (len(grid), 32))]
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +347,70 @@ def test_variance_matches_dense_sandwich(seed, n, order1, order2, q, rank, kind)
     assert np.all(var >= 0.0)
 
 
+@st.composite
+def random_system(draw):
+    """A stable system with random orders, term kinds and cubature orders."""
+    lhs = [DensityTerm("lhs", "derivative", 1.0, "point", order=draw(st.floats(0.1, 2.0))),
+           DensityTerm("lhs", draw(st.sampled_from(["derivative", "integral"])), "k", "point",
+                       order=draw(st.floats(0.0, 1.0)))]
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 0.9))
+        lhs.append(DensityTerm("lhs", "derivative", "k", "distributed", lower=lo,
+                               upper=lo + draw(st.floats(0.05, 0.5)),
+                               quad_points=draw(st.integers(1, 3))))
+    rhs = [DensityTerm("rhs", "derivative", "g", "point", order=0.0)]
+    if draw(st.booleans()):
+        rhs.append(DensityTerm("rhs", "integral", draw(st.floats(-1.0, 1.0)), "point",
+                               order=draw(st.floats(0.0, 1.0))))
+    params = (RandomParameter("k", "uniform", lo=0.2, hi=1.0, quad_order=draw(st.integers(1, 5))),
+              RandomParameter("g", "gaussian", mean=1.0, stddev=0.3,
+                              quad_order=draw(st.integers(1, 3))))
+    return DOSystem(tuple(lhs), tuple(rhs), params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_system(), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["lowrank", "diagonal", "sinc"]), st.sampled_from([512, 8]))
+def test_batched_pass_matches_per_node_dense_reference(sysm, n, seed, kind, crossover):
+    # one stacked pass over all nodes against a dense sandwich built node by
+    # node from assemble_system_operator and to_dense.  Crossover 8 sends
+    # the inversion to the batched Newton iteration and the products to
+    # the batched FFT with a direct head from 8 blocks on.  Both moments
+    # are exact in exact arithmetic up to the factor's cut; the bound is
+    # 1e-12 of the second moment's largest entry (the dense reference
+    # subtracts mean^2 from it), and for the mean 1e-12 of the largest
+    # sum_j w_j |A_j mu| (the weighted sum may cancel to exactly 0).
+    rng = np.random.default_rng(seed)
+    b = make_basis(n, 2.0)
+    f = StochasticForcing(SpectralVector(b, rng.standard_normal(n)),
+                          SpectralMatrix(b, random_covariance(kind, rng, b, 3)))
+    grid = tensor_cubature(sysm.random_params)
+    with mock.patch.object(opmat, "_FFT_MIN_N", crossover):
+        r = propagate_moments(sysm, b, f, grid)
+    ref_var, scale = dense_variance(sysm, b, f, grid)
+    a_mu = [w * (to_dense(assemble_system_operator(sysm, b, node)) @ f.mean.coeffs)
+            for w, node in zip(grid.weights, grid.nodes)]
+    mean_scale = np.max(sum(np.abs(x) for x in a_mu))
+    assert np.max(np.abs(r.mean.coeffs - sum(a_mu))) <= 1e-12 * mean_scale
+    assert np.max(np.abs(r.variance.coeffs - ref_var)) <= 1e-12 * scale
+    assert np.all(r.variance.coeffs >= 0.0)
+
+
 @pytest.mark.parametrize("delta", [1e-9, 1e-6])
 def test_uncertified_factor_falls_back_to_eigh(delta):
-    # rank 2 plus an indefinite +-delta max|C| pair off the diagonal:
-    # pivoted Cholesky stops at rank 2 with max|R| = delta max|C|, and
-    # N delta = 3.2e-8 > _PSD_RTOL cannot certify C, so eigh decides.  It
-    # accepts lambda_min = -9.8e-10 max|C| and rejects -9.8e-7 max|C|.
+    # rank 2 plus delta max|C| on row and column 3, off the diagonal:
+    # pivoted Cholesky stops at rank 2, and the residual's row 3 sums to
+    # 32 delta max|C|, so the Gershgorin bound 3.2e-8 > _PSD_RTOL cannot
+    # certify C, and eigh decides.  The perturbation's eigenvalues are
+    # only +-sqrt(31) delta max|C|: eigh accepts lambda_min =
+    # -5.2e-9 max|C| and rejects -5.2e-6 max|C|.
     n = 32
     g = np.random.default_rng(3).standard_normal((n, 2))
     c = g @ g.T
-    c[3, 7] = c[7, 3] = c[3, 7] + delta * np.abs(c).max()
+    p = np.zeros((n, n))
+    p[3] = p[:, 3] = delta * np.abs(c).max()
+    p[3, 3] = 0.0
+    c += p
     b = make_basis(n, 1.0)
     if delta > _PSD_RTOL:
         with pytest.raises(ValueError, match="not positive semidefinite"):
@@ -351,11 +423,18 @@ def test_uncertified_factor_falls_back_to_eigh(delta):
     assert f.rank == np.count_nonzero(lam > n * np.finfo(float).eps * lam[-1])
 
 
+def gershgorin_margin(c, fac):
+    """max(max row sum, max column sum) of |C - F F^T|, relative to max|C|, densely."""
+    r = np.abs(c - fac @ fac.T)
+    return max(r.sum(axis=0).max(), r.sum(axis=1).max()) / np.abs(c).max()
+
+
 @pytest.mark.parametrize("delta,sign", [(1e-10, -1), (2e-11, -1), (1e-10, 1)])
 def test_residual_bounds_the_asymmetry(delta, sign):
     # rank 2 plus a delta max|C| pair off the diagonal, antisymmetric
     # (sign -1) or symmetric: pivoted Cholesky stops at rank 2 with
-    # max|R| = delta max|C|, and N delta <= 3.2e-9 certifies C as PSD.
+    # max|R| = delta max|C|, and the residual's largest row or column
+    # sum, delta max|C| up to rounding, certifies C as PSD.
     # C - C^T = R - R^T bounds the asymmetry by 2 delta max|C|, which
     # passes _SYM_RTOL only up to delta = 5e-11; above it the dense check
     # decides, and rejects the antisymmetric pair but keeps the factor of
@@ -373,7 +452,8 @@ def test_residual_bounds_the_asymmetry(delta, sign):
         return
     f = StochasticForcing(zero_mean(b), SpectralMatrix(b, c))
     assert f.factor_method == "pivoted_cholesky" and f.rank == 2
-    assert f.psd_margin == pytest.approx(n * delta, rel=1e-5)
+    assert f.psd_margin == pytest.approx(gershgorin_margin(c, f._factor), rel=1e-12)
+    assert f.psd_margin == pytest.approx(delta, rel=1e-3)
 
 
 def ex5_sinc_covariance(n):
@@ -397,7 +477,10 @@ def test_sinc_factor_rank_and_residual(n):
     scale = np.abs(c.coeffs).max()
     residual = np.abs(fac @ fac.T - c.coeffs).max()
     assert residual <= 1e-12 * scale
-    assert f.psd_margin == pytest.approx(n * residual / scale, rel=1e-2)
+    # the row-sum bound is tighter than N max|R| (ex5 at N = 4096: 4.0e-10
+    # against 1.0e-9)
+    assert f.psd_margin == pytest.approx(gershgorin_margin(c.coeffs, fac), rel=1e-2)
+    assert f.psd_margin < n * residual / scale
 
 
 def test_white_noise_factor_is_its_diagonal():
@@ -424,21 +507,22 @@ def test_forcing_covariance_read_only():
         g.covariance.coeffs[0, 0] = 2.0
 
 
-@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("n", [64, 512, 2048, 4096])
 def test_factor_variance_componentwise_against_long_double(n):
     # every entry of every node's rowsum((A_j F)^2) is graded relative to
     # itself, so the small variances of the first blocks count as much as
-    # the largest; the reference is long double on the same double A_j, F
+    # the largest; the reference is long double on the same double A_j, F.
+    # Above 512 blocks the products are FFTs with their first 512 entries
+    # direct, so the first blocks keep this accuracy there too.
     with open(os.path.join(CONFIGS, "example5.json")) as fh:
         sysm = system_from_dict(json.load(fh))
     c = ex5_sinc_covariance(n)
     f = StochasticForcing(zero_mean(c.basis), c)
     grid = tensor_cubature(sysm.random_params)
     _, var = _node_moments(sysm, c.basis, grid, f)
-    columns = _system_columns(sysm, c.basis)
+    stack = _bind(_system_columns(sysm, c.basis), c.basis, grid.nodes).astype(np.longdouble)
     fac = f._factor.astype(np.longdouble)
-    for node, v in zip(grid.nodes, var):
-        a = _bind(columns, c.basis, node).first_col.astype(np.longdouble)
+    for a, v in zip(stack, var):
         af = np.stack([np.convolve(a, col)[:n] for col in fac.T], axis=1)
         ref = np.sum(af * af, axis=1)
         assert np.all(ref > 0)
