@@ -20,7 +20,6 @@ numerically and may miss 2 by an ulp (see `_block_mean`).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "BpfBasis", "SpectralVector", "SpectralMatrix",
@@ -219,7 +218,21 @@ def project_stationary(k, basis, quad_order=5):
         lag = int(np.argwhere(bad)[0][0])
         raise ValueError(f"kernel not finite at block lag {lag}, |t1 - t2| in "
                          f"[{max(lag - 1, 0) * basis.width:g}, {(lag + 1) * basis.width:g}]")
-    return SpectralMatrix(basis, toeplitz(_block_mean(_block_mean(vals, w), w)))
+    return SpectralMatrix(basis, _toeplitz(_block_mean(_block_mean(vals, w), w)))
+
+
+def _toeplitz(c, r=None):
+    """The Toeplitz matrix with first column c and first row r (r[0] unused).
+
+    r defaults to c, which gives the symmetric matrix of a real c.  Row
+    i is the window of concatenate((c[::-1], r[1:])) starting at
+    len(c) - 1 - i.  The strided view of those windows is copied, as
+    scipy.linalg.toeplitz does, and equals its result bit for bit.
+    """
+    c = np.asarray(c)
+    r = c if r is None else np.asarray(r)
+    vals = np.concatenate((c[::-1], r[1:]))
+    return np.lib.stride_tricks.sliding_window_view(vals, r.size)[::-1].copy()
 
 
 def delta_spectral(basis):

@@ -3,8 +3,9 @@
 Reads a JSON system description (schema_version 1), runs the requested
 analysis, and writes a CSV time series plus a JSON manifest that
 records every resolved parameter, seed, and version needed to
-reproduce the run.  Exit codes: 0 success, 1 usage or config error,
-2 numeric failure, 3 verification failure.  Every config value and flag
+reproduce the run.  Exit codes: 0 success, 1 usage or config error
+(an output file that cannot be written included), 2 numeric failure,
+3 verification failure.  Every config value and flag
 is checked before any numeric work starts, so a config error writes
 nothing.
 """
@@ -479,17 +480,22 @@ def _fail(code, e):
 def _run(args):
     """Run solve, stoch or mc in three steps, each with its own exit code.
 
-    1. Prepare: load the config, build the system, resolve the horizon,
-       and let the command read everything else.  Any error exits 1
-       before any numeric work, and nothing is written.
+    1. Prepare: load the config, build the system, resolve the horizon
+       and the output path, and let the command read everything else.
+       Any error, an output directory that does not exist included,
+       exits 1 before any numeric work, and nothing is written.
     2. Compute: any failure, or a non-finite value in a result column,
        exits 2, and nothing is written.
-    3. Write the CSV and the manifest; a failed verification exits 3.
+    3. Write the CSV and the manifest; a failed write exits 1, a failed
+       verification exits 3.
     """
     try:
         cfg = _load_config(args.config)
         sysm = _build_system(cfg, getattr(args, "quad_points", None))
         horizon = _resolve_horizon(cfg, args)
+        output = args.output or _default_output(args.config, args.command)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(output))):
+            raise ConfigError(f"output directory of {output!r} does not exist")
         run = args.prepare(cfg, sysm, horizon, args)
     except Exception as e:
         return _fail(1, e)
@@ -501,7 +507,6 @@ def _run(args):
     except Exception as e:
         return _fail(2, e)
 
-    output = args.output or _default_output(args.config, args.command)
     resolved = {"horizon": horizon, "output": output}
     flags = {k: resolved.get(k, getattr(args, k)) for k in args.flags}
     manifest = _base_manifest(args.command, args.config, cfg, sysm, flags)
@@ -509,8 +514,11 @@ def _run(args):
         manifest["diagnostics"] = diagnostics
     if report is not None:
         manifest["verify"] = report
-    _write_outputs(output, [name for name, _ in columns],
-                   [col for _, col in columns], manifest)
+    try:
+        _write_outputs(output, [name for name, _ in columns],
+                       [col for _, col in columns], manifest)
+    except OSError as e:
+        return _fail(1, e)
     if report is not None and not report["pass"]:
         print(f"verification FAILED: {json.dumps(report)}", file=sys.stderr)
         return 3

@@ -29,14 +29,12 @@ of a stack by shared columns, one lower-Toeplitz GEMM per column up to
 _FFT_MIN_N entries and a batched real FFT above.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.linalg import toeplitz
-from scipy.special import gamma as _gamma
 
-from .bpf import BpfBasis, SpectralVector
+from .bpf import BpfBasis, SpectralVector, _toeplitz
 
 __all__ = [
     "OpMatrix", "integration_matrix", "derivative_matrix",
@@ -129,7 +127,7 @@ def integration_matrix(alpha, basis):
         p = np.arange(2, n + 1, dtype=float)
         e = alpha + 1.0
         col[1:] = p ** e - 2.0 * (p - 1.0) ** e + (p - 2.0) ** e
-    col *= basis.width ** alpha / _gamma(alpha + 2.0)
+    col *= basis.width ** alpha / math.gamma(alpha + 2.0)
     return OpMatrix(basis, col, label=f"A_{alpha:g}")
 
 
@@ -288,14 +286,14 @@ def _row_products(a, columns):
     h = min(n, _FFT_MIN_N)
     unit = ~a[:, 1:].any(axis=1)
     if n > h:
-        size = _fft.next_fast_len(2 * n - 1, real=True)
-        fa = _fft.rfft(a, size)
+        size = _next_fast_len(2 * n - 1)
+        fa = np.fft.rfft(a, size)
     for b in columns:
         if not b[1:].any():
             yield b[0] * a
             continue
-        out = _fft.irfft(fa * _fft.rfft(b, size), size)[:, :n] if n > h else np.empty_like(a)
-        out[:, :h] = a[:, :h] @ toeplitz(b[:h], np.zeros(h)).T
+        out = np.fft.irfft(fa * np.fft.rfft(b, size), size)[:, :n] if n > h else np.empty_like(a)
+        out[:, :h] = a[:, :h] @ _toeplitz(b[:h], np.zeros(h)).T
         out[unit] = a[unit, :1] * b
         yield out
 
@@ -309,8 +307,21 @@ def _fft_product(a, b):
     of the whole product, about eps max|a| max|b| N, not of that entry.
     """
     n = a.shape[-1]
-    size = _fft.next_fast_len(2 * n - 1, real=True)
-    return _fft.irfft(_fft.rfft(a, size) * _fft.rfft(b, size), size)[..., :n]
+    size = _next_fast_len(2 * n - 1)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
+
+
+def _next_fast_len(m):
+    """Smallest 2^a 3^b 5^c >= m >= 1, a real FFT length without large prime factors."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def apply(m, v):
@@ -326,6 +337,4 @@ def apply(m, v):
 
 def to_dense(m):
     """Materialize the full N x N matrix.  For dense reference checks in tests."""
-    r = np.zeros_like(m.first_col)
-    r[0] = m.first_col[0]
-    return toeplitz(m.first_col, r)
+    return _toeplitz(m.first_col, np.zeros_like(m.first_col))

@@ -6,15 +6,16 @@ quadrature of closed-form integrals, frequency-domain integration,
 Grunwald-Letnikov time stepping, and seeded Monte Carlo with
 Gaussian-process path sampling.  Agreement between these and the
 operational-matrix results validates both sides.
+
+Each function imports the SciPy routine it calls (quad, cholesky,
+special functions) when it runs, so importing this module loads no
+SciPy subpackage, and gl_solve needs numpy alone.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import cholesky
-from scipy.special import gammaln, rgamma, ndtri
 
 from .dosys import density_quadrature, _density_callable, _resolve_coeff
 
@@ -47,6 +48,8 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     away from zero); a non-finite argument, term overflow or hitting
     the term cap raises.
     """
+    from scipy.special import gammaln, rgamma
+
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     beta = _finite_arg("beta", beta)
@@ -105,6 +108,8 @@ def analytic_impulse_example1(t):
     after the substitution x = e^u, which regularizes both endpoints.
     Relative accuracy target 1e-8 for t in roughly [0.05, 10].
     """
+    from scipy.integrate import quad
+
     t = _finite_arg("t", t)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t!r}")
@@ -136,6 +141,8 @@ def variance_double_integrator(t, a1=1.0, a2=1.0, alpha1=0.75, alpha2=1.0):
     with the algebraic endpoint singularity (alpha2 < 1) handed to the
     weighted quadrature rule.  Relative accuracy target 1e-7.
     """
+    from scipy.integrate import quad
+
     t = _finite_arg("t", t)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
@@ -241,6 +248,7 @@ def steady_state_variance_frequency(sys, param_values=None):
     conjugate symmetry.  Relative accuracy target 1e-6; a divergent or
     non-decaying integrand raises.
     """
+    from scipy.integrate import quad
 
     def g2(w):
         v = freq_response(sys, w, param_values)
@@ -338,6 +346,8 @@ def gl_solve(sys, input_samples, step, param_values=None):
 
 def _grid_cholesky(cov_fn, t):
     """Lower Cholesky factor of cov_fn on the grid t, jitter 1e-10 * trace on the diagonal."""
+    from scipy.linalg import cholesky
+
     k = np.asarray(cov_fn(t[:, None], t[None, :]), dtype=float)
     if k.shape != (t.size, t.size):
         raise ValueError("cov_fn must evaluate on broadcast grids")
@@ -438,6 +448,7 @@ def _draw_parameters(params, u):
         if p.distribution == "uniform":
             out[p.name] = p.lo + (p.hi - p.lo) * float(ui)
         else:
+            from scipy.special import ndtri
             out[p.name] = p.mean + p.stddev * float(ndtri(ui))
     return out
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import toeplitz
 
 from dorder.bpf import (BpfBasis, SpectralVector, SpectralMatrix, make_basis,
                         project_function, project_bivariate, project_stationary,
-                        delta_spectral, white_noise_covariance, _gl_block_points)
+                        delta_spectral, white_noise_covariance, _gl_block_points, _toeplitz)
 
 
 def test_basis_geometry():
@@ -171,6 +172,18 @@ def test_stationary_any_constant_bit_exact(q, n, tau, c):
     m = project_stationary(lambda s: np.full_like(s, c), make_basis(n, tau), quad_order=q)
     assert m.coeffs.shape == (n, n)
     assert np.all(m.coeffs == c)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(), min_size=1, max_size=64),
+       st.none() | st.lists(st.floats(), min_size=1, max_size=64))
+def test_toeplitz_helper_is_scipy_bit_for_bit(c, r):
+    c = np.array(c)
+    r = None if r is None else np.array(r)
+    got, ref = _toeplitz(c, r), toeplitz(c, r)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_stationary_kernel_called_once_on_lag_nodes():

@@ -642,11 +642,43 @@ def test_unknown_subcommand_exits_nonzero(workdir, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes a large share of start-up and nothing here needs it
+def test_unwritable_output_directory_is_a_config_error(workdir, capsys, monkeypatch):
+    # rejected while preparing, before any numeric work
+    monkeypatch.setattr(cli, "solve", lambda *a: pytest.fail("solve ran"))
+    cfg = write_config(workdir, INTEGRATOR)
+    assert main(["solve", cfg, "--n-basis", "4", "--output", "missing/x.csv"]) == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["case.json"]
+
+
+def test_failed_write_exits_one_without_traceback(workdir, capsys):
+    # the directory exists, but the output path is a directory itself
+    cfg = write_config(workdir, INTEGRATOR)
+    os.mkdir(workdir / "out.csv")
+    assert main(["solve", cfg, "--n-basis", "4", "--output", "out.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IsADirectoryError") and "Traceback" not in err
+    assert sorted(os.listdir(workdir)) == ["case.json", "out.csv"]
+    assert os.listdir(workdir / "out.csv") == []
+
+
+def test_solver_runs_load_no_scipy_subpackage(tmp_path):
+    # the solvers need numpy alone: SciPy subpackages take most of the
+    # start-up, and only the oracles, mc and table kernels import them
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dorder.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from dorder.cli import main
+codes = [main(["stoch", sys.argv[2], "--n-basis", "32", "--verify", "--output", "s.csv"]),
+         main(["solve", sys.argv[3], "--n-basis", "1024", "--verify", "--output", "d.csv"])]
+heavy = {"scipy." + name for name in ("linalg", "fft", "special", "integrate", "interpolate",
+                                      "optimize", "stats", "signal")}
+print(codes, sorted(heavy.intersection(sys.modules)))
+"""
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    out = subprocess.run([sys.executable, "-c", code, src,
+                          os.path.join(configs, "example5.json"),
+                          os.path.join(configs, "example2.json")],
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

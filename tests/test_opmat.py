@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as scipy_fft
 from scipy.special import gamma
 
 from dorder import opmat
@@ -52,6 +53,22 @@ def test_integration_matrix_first_column_telescopes():
         lead = (b.width ** alpha) / gamma(alpha + 2.0)
         total = 64.0 ** (alpha + 1) - 63.0 ** (alpha + 1)
         assert np.isclose(col.sum(), lead * total, rtol=1e-12)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, 3.0), st.floats(1e-3, 1e3))
+def test_integration_scale_matches_scipy_gamma(alpha, width):
+    # math.gamma's Gamma(alpha + 2) is within 1.1e-15 of SciPy's
+    scale = integration_matrix(alpha, make_basis(1, width)).first_col[0]
+    ref = width ** alpha / gamma(alpha + 2.0)
+    assert abs(scale - ref) <= 2e-15 * ref
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_integration_scale_exact_at_integer_orders(alpha):
+    for width in (0.01, 0.3, 1.0, 7.0):
+        scale = integration_matrix(alpha, make_basis(1, width)).first_col[0]
+        assert scale == width ** alpha / gamma(alpha + 2.0)
 
 
 def test_integration_negative_order_rejected():
@@ -402,6 +419,35 @@ def test_long_product_head_is_direct():
     got = truncated_product(a, b)
     assert np.array_equal(got[:512], np.convolve(a[:512], b[:512])[:512])
     assert np.max(np.abs(got - np.convolve(a, b)[:2048])) <= product_tol(a, b)
+
+
+# ---------------------------------------------------------------------------
+# numpy's transforms give the bits scipy.fft gave
+
+def test_next_fast_len_matches_scipy():
+    ms = range(1, 2 ** 17 + 1)
+    assert [opmat._next_fast_len(m) for m in ms] == \
+        [scipy_fft.next_fast_len(m, real=True) for m in ms]
+
+
+def long_path_results(n):
+    """truncated_product, a certified stacked Newton inverse and _row_products at n > 512."""
+    a, b = columns(n, n, 2)
+    stack = np.stack([decaying_column(n, n + j) for j in range(3)])
+    assert _newton_inverse(stack)[1].all()
+    inverse = invert_lower_toeplitz(OpMatrix(make_basis(n, 1.0), stack)).first_col
+    return [truncated_product(a, b), inverse, *opmat._row_products(stack, [a, b])]
+
+
+@pytest.mark.parametrize("n", [513, 1000, 4096])
+def test_long_paths_match_scipy_fft(n, monkeypatch):
+    got = long_path_results(n)
+    monkeypatch.setattr(np.fft, "rfft", scipy_fft.rfft)
+    monkeypatch.setattr(np.fft, "irfft", scipy_fft.irfft)
+    monkeypatch.setattr(opmat, "_next_fast_len",
+                        lambda m: scipy_fft.next_fast_len(m, real=True))
+    for x, ref in zip(got, long_path_results(n), strict=True):
+        assert np.array_equal(x, ref)
 
 
 def test_apply_equals_dense_matvec():
