@@ -662,6 +662,16 @@ def test_failed_write_exits_one_without_traceback(workdir, capsys):
     assert os.listdir(workdir / "out.csv") == []
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes a large share of start-up and nothing here needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dorder.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_solver_runs_load_no_scipy_subpackage(tmp_path):
     # the solvers need numpy alone: SciPy subpackages take most of the
     # start-up, and only the oracles, mc and table kernels import them

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -526,3 +528,12 @@ def test_factor_variance_componentwise_against_long_double(n):
         assert np.all(ref > 0)
         assert np.max(np.abs(v - ref) / ref) <= 1e-14
 
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # one product path: every convolution goes through opmat.truncated_product
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opmat.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dorder.cli; "
+            "print(any(m.startswith('scipy.signal') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
