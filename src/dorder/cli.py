@@ -3,15 +3,23 @@
 Reads a JSON system description (schema_version 1), runs the requested
 analysis, and writes a CSV time series plus a JSON manifest that
 records every resolved parameter, seed, and version needed to
-reproduce the run.  Exit codes: 0 success, 1 usage or config error
-(an output file that cannot be written included), 2 numeric failure,
-3 verification failure.  Every config value and flag
-is checked before any numeric work starts, so a config error writes
-nothing.
+reproduce the run.  The config is the one description of the system:
+its terms, coefficients, order quadrature and horizon come from it
+alone, and a verify check reads the shape it checks from those terms
+(a system the check's oracle does not describe is a config error).
+Flags set only the discretization (--n-basis, or --n-grid, --samples
+and --seed for mc), the output path and --verify.
+
+Exit codes: 0 success, 1 usage or config error (an output file that
+cannot be written included), 2 numeric failure, 3 verification
+failure.  Every config value and flag is checked before any numeric
+work starts, so a config error writes nothing; the CSV and its
+manifest are written both or neither.
 """
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -56,26 +64,17 @@ def _load_config(path):
     return cfg
 
 
-def _build_system(cfg, quad_points=None):
+def _build_system(cfg):
     try:
-        sysm = system_from_dict(cfg)
+        return system_from_dict(cfg)
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"bad system description: {e}") from e
-    if quad_points is not None:
-        def bump(t):
-            return dataclasses.replace(t, quad_points=quad_points) \
-                if t.kind == "distributed" else t
-        sysm = dataclasses.replace(
-            sysm,
-            lhs_terms=tuple(bump(t) for t in sysm.lhs_terms),
-            rhs_terms=tuple(bump(t) for t in sysm.rhs_terms))
-    return sysm
 
 
-def _resolve_horizon(cfg, args):
-    h = args.horizon if args.horizon is not None else cfg.get("horizon")
+def _resolve_horizon(cfg):
+    h = cfg.get("horizon")
     if h is None:
-        raise ConfigError("no horizon: set 'horizon' in the config or pass --horizon")
+        raise ConfigError("no horizon: set 'horizon' in the config")
     h = float(h)
     if not (np.isfinite(h) and h > 0):
         raise ConfigError(f"horizon must be positive and finite, got {h!r}")
@@ -167,22 +166,6 @@ def _forcing_blocks(cfg):
 # ---------------------------------------------------------------------------
 # output
 
-def _atomic_write(path, text):
-    """Write text to path via a temp file; no partial files on failure."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _csv_cells(col):
     """Iterator over the repr of each value of an array or list column, blank for None."""
     if isinstance(col, np.ndarray):
@@ -220,13 +203,44 @@ def _manifest_path(output):
 
 
 def _write_outputs(output, header, columns, manifest):
-    _atomic_write(output, _csv_text(header, columns))
-    _atomic_write(_manifest_path(output), json.dumps(manifest, indent=2) + "\n")
+    """Write the CSV and its manifest, both or neither.
+
+    Each text goes to a temp file in the output directory, with the mode
+    a plain open() would give (0o666 less the umask; mkstemp makes 0o600),
+    and each temp replaces its target only once both are written and
+    neither target is a directory.  A failure before that removes both
+    temps and leaves no partial file.
+    """
+    texts = {output: _csv_text(header, columns),
+             _manifest_path(output): json.dumps(manifest, indent=2) + "\n"}
+    umask = os.umask(0)
+    os.umask(umask)
+    d = os.path.dirname(os.path.abspath(output))
+    temps = []
+    try:
+        for text in texts.values():
+            fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for path in texts:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in zip(temps, texts):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def _base_manifest(command, config_path, cfg, sysm, flags):
     resolved = dict(cfg)
-    resolved.update(system_to_dict(sysm))  # quad-point overrides made visible
+    resolved.update(system_to_dict(sysm))  # terms as parsed, defaults filled in
     return {
         "command": command,
         "config_path": os.path.abspath(config_path),
@@ -279,6 +293,26 @@ def _window_check(spec, times, kind, lo, mode, tol, oracle_name, oracle):
     return check
 
 
+def _is_identity(term):
+    return term.kind == "point" and term.order == 0.0
+
+
+def _impulse_check(spec, cfg, sysm, times, u_fn):
+    """Impulse response of example 1's integrator y = int_0.5^0.8 I^alpha u dalpha
+    against its analytic value; any other system or input is a ConfigError."""
+    lhs, rhs = sysm.lhs_terms, sysm.rhs_terms
+    if not (len(lhs) == 1 and _is_identity(lhs[0]) and lhs[0].coeff == 1.0
+            and len(rhs) == 1 and rhs[0].kind == "distributed" and rhs[0].sense == "integral"
+            and rhs[0].coeff == 1.0 and (rhs[0].lower, rhs[0].upper) == (0.5, 0.8)
+            and rhs[0].density in (None, {"form": "constant"})
+            and u_fn is None and "initial" not in cfg):
+        raise ConfigError("impulse_integral checks y = int_0.5^0.8 I^alpha u dalpha: an "
+                          "identity LHS, one constant-density distributed integral on "
+                          "[0.5, 0.8], unit coefficients, the delta input and no 'initial'")
+    return _window_check(spec, times, "impulse_integral", 0.05, "abs", 5e-3,
+                         "oracle", oracles.analytic_impulse_example1)
+
+
 def _gl_check(spec, march, horizon, times, u_fn, y0):
     """GL stepper reference y0 + gl_solve(system, b u - c y0) for march = (system, b, c)."""
     n_grid = int(_finite(spec, "n_grid", 1024))
@@ -313,11 +347,27 @@ def _white_intensity(kind, sysm, white_q):
     return white_q
 
 
-def _ml_variance_check(spec, times, q):
-    shape = {k: _finite(spec, k, None) for k in ("a1", "a2", "alpha1", "alpha2") if k in spec}
+def _ml_variance_check(spec, sysm, times, q):
+    """Variance of a1 D^alpha1 y + a2 D^alpha2 y = b u under white noise of
+    intensity q, against q b^2 variance_double_integrator; the shape is read
+    from the system, and any other system is a ConfigError."""
+    stale = [k for k in ("a1", "a2", "alpha1", "alpha2") if k in spec]
+    if stale:
+        raise ConfigError(f"ml_variance reads the system's terms; remove {', '.join(stale)} "
+                          f"from the verify block")
+    lhs, rhs = sysm.lhs_terms, sysm.rhs_terms
+    if not (len(lhs) == 2 and all(t.kind == "point" and t.sense == "derivative" for t in lhs)
+            and lhs[0].order != lhs[1].order and len(rhs) == 1 and _is_identity(rhs[0])):
+        raise ConfigError("ml_variance checks a1 D^alpha1 y + a2 D^alpha2 y = b u: two point "
+                          "derivative terms of distinct orders and one identity RHS term")
+    low, high = sorted(lhs, key=lambda t: t.order)
+    if high.coeff == 0.0:
+        raise ConfigError("ml_variance needs a nonzero coefficient on the higher order")
+    shape = {"a1": low.coeff, "a2": high.coeff, "alpha1": low.order, "alpha2": high.order}
+    scale = q * rhs[0].coeff * rhs[0].coeff
     window = _window_check(
         spec, times, "ml_variance", 0.5, "rel", 0.02, "oracle_variance",
-        lambda t: q * oracles.variance_double_integrator(t, **shape))
+        lambda t: scale * oracles.variance_double_integrator(t, **shape))
     return lambda variance, mean, forcing: window(variance)
 
 
@@ -398,9 +448,7 @@ def _prepare_solve(cfg, sysm, horizon, args):
     # its shape and y0 are checked here, so a wrong one is a config error
     march = _relaxation_form(sysm, y0) if "initial" in cfg else (sysm, 1.0, 0.0)
     check = _verify_check(cfg, args, {
-        "impulse_integral": lambda spec: _window_check(
-            spec, times, "impulse_integral", 0.05, "abs", 5e-3,
-            "oracle", oracles.analytic_impulse_example1),
+        "impulse_integral": lambda spec: _impulse_check(spec, cfg, sysm, times, u_fn),
         "gl_stepper": lambda spec: _gl_check(spec, march, horizon, times, u_fn, y0),
     })
 
@@ -422,7 +470,7 @@ def _prepare_stoch(cfg, sysm, horizon, args):
     mean_fn, (kernel, lag, white_q) = _forcing_blocks(cfg)
     check = _verify_check(cfg, args, {
         "ml_variance": lambda spec: _ml_variance_check(
-            spec, times, _white_intensity("ml_variance", sysm, white_q)),
+            spec, sysm, times, _white_intensity("ml_variance", sysm, white_q)),
         "h2_plateau": lambda spec: _h2_check(
             spec, sysm, times, _white_intensity("h2_plateau", sysm, white_q)),
         "colloc_refinement": lambda spec: _refinement_check(spec, sysm, basis),
@@ -491,8 +539,8 @@ def _run(args):
     """
     try:
         cfg = _load_config(args.config)
-        sysm = _build_system(cfg, getattr(args, "quad_points", None))
-        horizon = _resolve_horizon(cfg, args)
+        sysm = _build_system(cfg)
+        horizon = _resolve_horizon(cfg)
         output = args.output or _default_output(args.config, args.command)
         if not os.path.isdir(os.path.dirname(os.path.abspath(output))):
             raise ConfigError(f"output directory of {output!r} does not exist")
@@ -507,8 +555,7 @@ def _run(args):
     except Exception as e:
         return _fail(2, e)
 
-    resolved = {"horizon": horizon, "output": output}
-    flags = {k: resolved.get(k, getattr(args, k)) for k in args.flags}
+    flags = {k: output if k == "output" else getattr(args, k) for k in args.flags}
     manifest = _base_manifest(args.command, args.config, cfg, sysm, flags)
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
@@ -572,8 +619,6 @@ def cmd_oracle(args):
 
 def _add_common(p):
     p.add_argument("config", help="JSON system description")
-    p.add_argument("--horizon", type=float, default=None,
-                   help="time horizon (overrides the config)")
     p.add_argument("--output", default=None,
                    help="CSV output path (default: <config stem>.<command>.csv)")
 
@@ -589,12 +634,10 @@ def build_parser():
         p = sub.add_parser(name, help=help_)
         _add_common(p)
         p.add_argument("--n-basis", type=int, default=512, help="block count (default 512)")
-        p.add_argument("--quad-points", type=int, default=None,
-                       help="order-quadrature points per distributed term (default 3)")
         p.add_argument("--verify", action="store_true",
                        help="run the config's verify block; violations exit 3")
         p.set_defaults(func=_run, prepare=prepare,
-                       flags=("n_basis", "horizon", "quad_points", "output", "verify"))
+                       flags=("n_basis", "output", "verify"))
 
     p = sub.add_parser("mc", help="Monte Carlo moments")
     _add_common(p)
@@ -602,7 +645,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=10000, help="sample count (default 10000)")
     p.add_argument("--seed", type=int, default=12345, help="random seed (default 12345)")
     p.set_defaults(func=_run, prepare=_prepare_mc,
-                   flags=("n_grid", "horizon", "samples", "seed", "output"))
+                   flags=("n_grid", "samples", "seed", "output"))
 
     p = sub.add_parser("oracle", help="print reference values")
     p.add_argument("name", help="|".join(_ORACLE_NAMES))

@@ -324,12 +324,20 @@ def _next_fast_len(m):
     return best
 
 
+def _one_operator(m, what):
+    """ValueError if m is a stack: what takes one operator."""
+    if m.first_col.ndim != 1:
+        raise ValueError(f"{what} takes one operator, got a stack of first columns "
+                         f"of shape {m.first_col.shape}")
+
+
 def apply(m, v):
     """Matrix-vector product M @ v on spectral coefficients.
 
     Lower-triangular Toeplitz action is the truncated convolution of
     the first column with the coefficient vector.
     """
+    _one_operator(m, "apply")
     if m.basis != v.basis:
         raise ValueError("operands live on different bases")
     return SpectralVector(m.basis, truncated_product(m.first_col, v.coeffs))
@@ -337,4 +345,5 @@ def apply(m, v):
 
 def to_dense(m):
     """Materialize the full N x N matrix.  For dense reference checks in tests."""
+    _one_operator(m, "to_dense")
     return _toeplitz(m.first_col, np.zeros_like(m.first_col))

@@ -7,9 +7,10 @@ Grunwald-Letnikov time stepping, and seeded Monte Carlo with
 Gaussian-process path sampling.  Agreement between these and the
 operational-matrix results validates both sides.
 
-Each function imports the SciPy routine it calls (quad, cholesky,
-special functions) when it runs, so importing this module loads no
-SciPy subpackage, and gl_solve needs numpy alone.
+Each function imports the SciPy routine it calls (quad, special
+functions) when it runs, so importing this module loads no SciPy
+subpackage; gl_solve and mc_moments (on uniform parameters)
+need numpy alone.
 """
 
 import math
@@ -346,14 +347,12 @@ def gl_solve(sys, input_samples, step, param_values=None):
 
 def _grid_cholesky(cov_fn, t):
     """Lower Cholesky factor of cov_fn on the grid t, jitter 1e-10 * trace on the diagonal."""
-    from scipy.linalg import cholesky
-
     k = np.asarray(cov_fn(t[:, None], t[None, :]), dtype=float)
     if k.shape != (t.size, t.size):
         raise ValueError("cov_fn must evaluate on broadcast grids")
     k = k + np.eye(t.size) * (1e-10 * np.trace(k))
     try:
-        return cholesky(k, lower=True)
+        return np.linalg.cholesky(k)
     except np.linalg.LinAlgError as e:
         raise ValueError(f"covariance is not positive semidefinite on the grid: {e}") from e
 

@@ -7,6 +7,7 @@ files left on disk are observed exactly as a shell user would see them.
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -94,8 +95,8 @@ def test_solve_integrator_desk_check(workdir):
     manifest = json.loads((workdir / "out.manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["schema_version"] == 1
-    assert manifest["flags"]["n_basis"] == 4
-    assert manifest["flags"]["horizon"] == 2.0
+    assert manifest["flags"] == {"n_basis": 4, "output": "out.csv", "verify": False}
+    assert manifest["resolved_config"]["horizon"] == 2.0
 
 
 def test_solve_output_uses_lf_endings(workdir):
@@ -123,14 +124,15 @@ def test_solve_table_input(workdir):
     assert np.allclose(cols["y"], t * t / 2.0, atol=2e-3)
 
 
-def test_solve_horizon_flag_overrides_config(workdir):
-    cfg = write_config(workdir, INTEGRATOR)
-    assert main(["solve", cfg, "--n-basis", "4", "--horizon", "1.0",
-                 "--output", "out.csv"]) == 0
-    _, cols = read_csv(workdir / "out.csv")
-    assert cols["t"] == [0.125, 0.375, 0.625, 0.875]
-    manifest = json.loads((workdir / "out.manifest.json").read_text())
-    assert manifest["flags"]["horizon"] == 1.0
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--horizon"), ("stoch", "--horizon"), ("mc", "--horizon"),
+    ("solve", "--quad-points"), ("stoch", "--quad-points")])
+def test_config_values_have_no_flag_overrides(workdir, capsys, command, flag):
+    # the horizon and each term's quad_points come from the config alone
+    cfg = write_config(workdir, WHITE_RELAX)
+    assert main([command, cfg, flag, "3", "--output", "out.csv"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["case.json"]
 
 
 def test_solve_missing_horizon(workdir, capsys):
@@ -237,7 +239,7 @@ MALFORMED = {
         {"side": "rhs", "sense": "integral", "coeff": 1.0, "kind": "point", "order": 0.5}),
         ["--verify"]),
     "verify_n_grid": ("solve", 2, _set("verify", "n_grid", -4), ["--verify"]),
-    "quad_points_zero": ("solve", 2, lambda cfg: None, ["--quad-points", "0"]),
+    "quad_points_zero": ("solve", 2, _set("terms", 0, "quad_points", 0), []),
     "n_basis_zero": ("solve", 1, lambda cfg: None, ["--n-basis", "0"]),
     "solve_random_params": ("solve", 5, lambda cfg: None, []),
     "impulse_integral_empty_window": (
@@ -288,6 +290,28 @@ MALFORMED = {
         "stoch", 3, _set("verify", "window", [0.5, math.inf]), ["--verify"]),
     "verify_tol_rel_nan_window": ("stoch", 3, _set("verify", "tol_rel", math.nan), ["--verify"]),
     "verify_ml_shape_nan": ("stoch", 3, _set("verify", "alpha1", math.nan), ["--verify"]),
+    # each oracle describes one system shape; a system of another shape is a
+    # config error
+    "ml_variance_equal_orders": ("stoch", 3, _set("terms", 0, "order", 1.0), ["--verify"]),
+    "ml_variance_integral_lhs": ("stoch", 3, _set("terms", 0, "sense", "integral"),
+                                 ["--verify"]),
+    "ml_variance_distributed_lhs": ("stoch", 3, _set("terms", 0, {
+        "side": "lhs", "sense": "derivative", "coeff": 1.0, "kind": "distributed",
+        "lower": 0.5, "upper": 0.75}), ["--verify"]),
+    "ml_variance_rhs_not_identity": ("stoch", 3, _set("terms", 2, "order", 0.5), ["--verify"]),
+    "ml_variance_zero_high_coeff": ("stoch", 3, _set("terms", 1, "coeff", 0.0), ["--verify"]),
+    "impulse_integral_derivative_lhs": ("solve", 1, _set("terms", 0, "order", 1.0),
+                                        ["--verify"]),
+    "impulse_integral_lhs_coeff": ("solve", 1, _set("terms", 0, "coeff", 2.0), ["--verify"]),
+    "impulse_integral_rhs_coeff": ("solve", 1, _set("terms", 1, "coeff", 2.0), ["--verify"]),
+    "impulse_integral_interval": ("solve", 1, _set("terms", 1, "upper", 0.9), ["--verify"]),
+    "impulse_integral_poly_density": (
+        "solve", 1, _set("terms", 1, "density", _poly([2.0])), ["--verify"]),
+    "impulse_integral_point_rhs": ("solve", 1, _set("terms", 1, {
+        "side": "rhs", "sense": "integral", "coeff": 1.0, "kind": "point", "order": 0.5}),
+        ["--verify"]),
+    "impulse_integral_step_input": (
+        "solve", 1, _set("input", {"form": "constant", "value": 1.0}), ["--verify"]),
     "verify_t_min_nan": ("stoch", 4, _set("verify", "t_min", math.nan), ["--verify"]),
     "verify_tol_rel_infinite_h2": (
         "stoch", 4, _set("verify", "tol_rel", math.inf), ["--verify"]),
@@ -360,6 +384,50 @@ def test_ml_variance_reference_scales_with_intensity(workdir):
     assert main(["stoch", path, "--n-basis", "128", "--verify", "--output", "out.csv"]) == 0
     _, cols = read_csv(workdir / "out.csv")
     assert cols["oracle_variance"][-1] == 2.0 * variance_double_integrator(cols["t"][-1])
+
+
+def test_ml_variance_reads_the_shape_from_the_system(workdir, capsys):
+    # D y + y = u: a1 = a2 = 1, alpha1 = 0, alpha2 = 1, so the oracle is
+    # int_0^t e^(-2u) du = (1 - e^(-2t)) / 2; no shape keys in the verify block
+    cfg = json.loads(json.dumps(WHITE_RELAX))
+    cfg["horizon"] = 5.0
+    cfg["verify"] = {"kind": "ml_variance", "window": [0.5, 5.0], "tol_rel": 0.05}
+    path = write_config(workdir, cfg)
+    assert main(["stoch", path, "--n-basis", "128", "--verify", "--output", "out.csv"]) == 0
+    _, cols = read_csv(workdir / "out.csv")
+    inside = [i for i, v in enumerate(cols["oracle_variance"]) if v is not None]
+    ref = np.array(cols["oracle_variance"])[inside]
+    t = np.array(cols["t"])[inside]
+    assert np.allclose(ref, -np.expm1(-2.0 * t) / 2.0, rtol=1e-12, atol=0)
+    report = json.loads((workdir / "out.manifest.json").read_text())["verify"]
+    assert report["pass"] and report["max_rel_error"] <= 0.05
+    # a third LHS term is another system, which this oracle does not describe
+    cfg["terms"].insert(0, {"side": "lhs", "sense": "derivative", "coeff": 1.0,
+                            "kind": "point", "order": 0.5})
+    path = write_config(workdir, cfg, "three.json")
+    assert main(["stoch", path, "--n-basis", "16", "--verify", "--output", "three.csv"]) == 1
+    assert "two point derivative terms" in capsys.readouterr().err
+    assert not (workdir / "three.csv").exists()
+
+
+def test_ml_variance_shape_keys_are_named(workdir, capsys):
+    cfg = _example(3)
+    cfg["verify"].update(a1=1.0, alpha2=1.0)
+    path = write_config(workdir, cfg)
+    assert main(["stoch", path, "--n-basis", "16", "--verify", "--output", "out.csv"]) == 1
+    assert "remove a1, alpha2 from the verify block" in capsys.readouterr().err
+
+
+def test_impulse_integral_rejects_another_system(workdir, capsys):
+    # D y = u under example 1's verify block would be scored against the
+    # distributed integrator's curve
+    cfg = json.loads(json.dumps(INTEGRATOR))
+    cfg["input"] = {"form": "delta"}
+    cfg["verify"] = _example(1)["verify"]
+    path = write_config(workdir, cfg)
+    assert main(["solve", path, "--n-basis", "16", "--verify", "--output", "out.csv"]) == 1
+    assert "impulse_integral checks" in capsys.readouterr().err
+    assert sorted(os.listdir(workdir)) == ["case.json"]
 
 
 def test_relaxation_with_zero_rhs_coefficient_verifies(workdir):
@@ -464,8 +532,7 @@ def test_verify_pass_recorded_in_manifest(workdir):
         {"side": "lhs", "sense": "derivative", "coeff": 1.0, "kind": "point", "order": 1.0},
         {"side": "rhs", "sense": "derivative", "coeff": 1.0, "kind": "point", "order": 0.0},
     ]
-    cfg["verify"] = {"kind": "ml_variance", "window": [0.5, 5.0], "tol_rel": 0.05,
-                     "a1": 1.0, "a2": 1.0, "alpha1": 0.75, "alpha2": 1.0}
+    cfg["verify"] = {"kind": "ml_variance", "window": [0.5, 5.0], "tol_rel": 0.05}
     path = write_config(workdir, cfg)
     assert main(["stoch", path, "--n-basis", "128", "--verify",
                  "--output", "out.csv"]) == 0
@@ -505,14 +572,6 @@ def test_stoch_random_gain_moments(workdir):
     t = np.array(cols["t"])
     assert np.allclose(cols["mean"], t, atol=1e-10)
     assert np.allclose(cols["variance"], t * t / 12.0, rtol=1e-8, atol=1e-12)
-
-
-def test_stoch_quad_points_flag_in_manifest(workdir):
-    cfg = write_config(workdir, WHITE_RELAX)
-    assert main(["stoch", cfg, "--n-basis", "32", "--quad-points", "7",
-                 "--output", "out.csv"]) == 0
-    manifest = json.loads((workdir / "out.manifest.json").read_text())
-    assert manifest["flags"]["quad_points"] == 7
 
 
 @pytest.mark.parametrize("example,n,rank,nodes", [(4, 64, 64, 1), (5, 64, 8, 25),
@@ -587,7 +646,7 @@ def test_mc_draws_one_seeded_stream(workdir, capsys):
     assert "--halton" in capsys.readouterr().err
     assert main(argv) == 0
     manifest = json.loads((workdir / "m.manifest.json").read_text())
-    assert list(manifest["flags"]) == ["n_grid", "horizon", "samples", "seed", "output"]
+    assert list(manifest["flags"]) == ["n_grid", "samples", "seed", "output"]
 
 
 def test_mc_rejects_bad_sample_count(workdir, capsys):
@@ -662,6 +721,29 @@ def test_failed_write_exits_one_without_traceback(workdir, capsys):
     assert os.listdir(workdir / "out.csv") == []
 
 
+def test_outputs_get_the_umask_mode(workdir):
+    # the mode a plain open() gives, not mkstemp's 0o600
+    cfg = write_config(workdir, INTEGRATOR)
+    old = os.umask(0o022)
+    try:
+        assert main(["solve", cfg, "--n-basis", "4", "--output", "out.csv"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("out.csv", "out.manifest.json"):
+        assert stat.S_IMODE(os.stat(workdir / name).st_mode) == 0o644
+
+
+def test_failed_manifest_write_leaves_no_csv(workdir, capsys):
+    # the CSV and its manifest are written both or neither
+    cfg = write_config(workdir, INTEGRATOR)
+    os.mkdir(workdir / "out.manifest.json")
+    assert main(["solve", cfg, "--n-basis", "4", "--output", "out.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IsADirectoryError") and "Traceback" not in err
+    assert sorted(os.listdir(workdir)) == ["case.json", "out.manifest.json"]
+    assert os.listdir(workdir / "out.manifest.json") == []
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes a large share of start-up and nothing here needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -674,7 +756,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_solver_runs_load_no_scipy_subpackage(tmp_path):
     # the solvers need numpy alone: SciPy subpackages take most of the
-    # start-up, and only the oracles, mc and table kernels import them
+    # start-up, and only the oracles' quadratures and special functions
+    # and table kernels import them
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = """
 import sys
@@ -692,3 +775,20 @@ print(codes, sorted(heavy.intersection(sys.modules)))
                           os.path.join(configs, "example2.json")],
                          cwd=tmp_path, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0] []"
+
+
+def test_mc_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # the Monte Carlo path factors its covariance grid with numpy's Cholesky
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from dorder.cli import main
+code = main(["mc", sys.argv[2], "--n-grid", "16", "--samples", "4", "--output", "m.csv"])
+print(code, "scipy.linalg" in sys.modules)
+"""
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "example5.json")
+    out = subprocess.run([sys.executable, "-c", code, src, config],
+                         cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False"

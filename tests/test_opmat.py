@@ -459,6 +459,16 @@ def test_apply_equals_dense_matvec():
     assert np.allclose(w.coeffs, to_dense(m) @ v.coeffs, atol=1e-13)
 
 
+def test_apply_and_to_dense_reject_a_stack():
+    # a (J, N) stack is J operators; numpy's own errors would not say so
+    b = make_basis(4, 1.0)
+    stack = OpMatrix(b, np.eye(2, 4))
+    with pytest.raises(ValueError, match=r"apply takes one operator.*\(2, 4\)"):
+        apply(stack, SpectralVector(b, np.ones(4)))
+    with pytest.raises(ValueError, match=r"to_dense takes one operator.*\(2, 4\)"):
+        to_dense(stack)
+
+
 def test_ring_is_commutative_and_associative():
     b = make_basis(20, 1.0)
     x = integration_matrix(0.4, b).first_col
