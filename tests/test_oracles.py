@@ -1,15 +1,17 @@
 """Reference computations: series, quadrature, GL stepping, Monte Carlo.
 
-The frozen literals in here were produced by the oracles themselves and
-cross-checked against independent routes (a fixed-Talbot Laplace
-inversion for the impulse integral, analytic reductions elsewhere);
-they guard against silent regressions.
+The frozen impulse values come from an mpmath Talbot inversion of the
+transfer function at 30 digits.  The other frozen literals were produced
+by the oracles themselves and cross-checked against independent routes
+(analytic reductions, SciPy's adaptive quadrature); they guard against
+silent regressions.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dorder.dosys import DensityTerm, RandomParameter, DOSystem
 from dorder import oracles
@@ -101,9 +103,9 @@ def _transfer_example1(s):
 
 
 def test_impulse_frozen_values():
-    assert abs(analytic_impulse_example1(0.2) - 0.3760252715672614) <= 1e-9
-    assert abs(analytic_impulse_example1(1.0) - 0.2155776840766989) <= 1e-9
-    assert abs(analytic_impulse_example1(5.0) - 0.1259680129) <= 1e-9
+    assert abs(analytic_impulse_example1(0.2) - 0.376025366204541183) <= 1e-9
+    assert abs(analytic_impulse_example1(1.0) - 0.215577778713978691) <= 1e-9
+    assert abs(analytic_impulse_example1(5.0) - 0.12596810755736284) <= 1e-9
 
 
 def test_impulse_matches_talbot_inversion():
@@ -243,13 +245,119 @@ def test_h2_second_order():
     assert abs(steady_state_variance_frequency(sysm) - 0.5) <= 1e-6 * 0.5
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_h2_divergence_detected():
     # G = s/(s+1) does not decay; the norm is infinite
     sysm = make_sys([point("lhs", 1.0, 1.0), point("lhs", 1.0, 0.0)],
                     [point("rhs", 1.0, 1.0)])
     with pytest.raises(RuntimeError):
         steady_state_variance_frequency(sysm)
+
+
+# ---------------------------------------------------------------------------
+# array calls and the trapezoid rule
+
+def test_variance_refuses_infinite_variance():
+    # the kernel t^(alpha2 - 1) is square-integrable only for alpha2 > 1/2
+    for alpha2 in (0.5, 0.4):
+        with pytest.raises(ValueError, match="infinite"):
+            variance_double_integrator(1.0, 1.0, 1.0, 0.2, alpha2)
+
+
+@st.composite
+def point_systems(draw):
+    """a2 D^alpha2 y + a1 D^alpha1 y + a0 y = b u with positive coefficients and
+    orders in (0, 2): the denominator has a positive imaginary part on the
+    positive imaginary axis, so |G(j w)|^2 is finite there."""
+    alpha2 = draw(st.floats(1.0, 1.8))
+    alpha1 = draw(st.floats(0.1, 0.9)) * alpha2
+    a2, a1, a0, b = (draw(st.floats(lo, hi)) for lo, hi in
+                     ((0.5, 2.0), (0.3, 2.0), (0.2, 2.0), (0.5, 2.0)))
+    return make_sys([point("lhs", a2, alpha2), point("lhs", a1, alpha1),
+                     point("lhs", a0, 0.0)], [point("rhs", b, 0.0)])
+
+
+variance_shapes = st.tuples(
+    st.floats(0.5, 2.0, exclude_min=True),  # alpha2
+    st.floats(0.0, 0.75),  # alpha1 / alpha2
+    st.floats(0.5, 2.0),  # a2
+    st.floats(0.0, 0.5),  # a1 / a2
+).map(lambda s: {"alpha2": s[0], "alpha1": s[1] * s[0], "a2": s[2], "a1": s[3] * s[2]})
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+@SETTINGS
+@given(st.floats(0.3, 2.0), st.floats(0.0, 2.0),
+       st.lists(st.floats(-5.0, 5.0) | st.just(0.0), min_size=1, max_size=6))
+def test_ml_array_call_is_scalar_calls(alpha, beta, z):
+    assert np.array_equal(mittag_leffler(alpha, beta, np.array(z)),
+                          [mittag_leffler(alpha, beta, zi) for zi in z])
+
+
+@SETTINGS
+@given(variance_shapes, st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5))
+def test_variance_array_call_is_scalar_calls(shape, t):
+    assert np.array_equal(variance_double_integrator(np.array(t), **shape),
+                          [variance_double_integrator(ti, **shape) for ti in t])
+
+
+@SETTINGS
+@given(st.lists(st.floats(0.05, 10.0), min_size=1, max_size=6))
+def test_impulse_array_call_is_scalar_calls(t):
+    assert np.array_equal(analytic_impulse_example1(np.array(t)),
+                          [analytic_impulse_example1(ti) for ti in t])
+
+
+@SETTINGS
+@given(point_systems(), st.lists(st.floats(-100.0, 100.0) | st.just(0.0),
+                                 min_size=1, max_size=6))
+def test_freq_response_array_call_is_scalar_calls(sysm, omega):
+    g = freq_response(sysm, np.array(omega))
+    assert g.shape == (len(omega),)
+    assert np.array_equal(g, [freq_response(sysm, w) for w in omega])
+
+
+def _quad_h2(sysm):
+    from scipy.integrate import quad
+
+    def g2(w):
+        v = freq_response(sysm, w)
+        return v.real * v.real + v.imag * v.imag
+
+    v1 = quad(g2, 0.0, 50.0, limit=500, epsabs=1e-13, epsrel=1e-11)[0]
+    v2 = quad(g2, 50.0, np.inf, limit=500, epsabs=1e-13, epsrel=1e-11)[0]
+    return (v1 + v2) / math.pi
+
+
+@SETTINGS
+@given(point_systems())
+def test_h2_trapezoid_matches_adaptive_quadrature(sysm):
+    ref = _quad_h2(sysm)
+    assert abs(steady_state_variance_frequency(sysm) - ref) <= 1e-9 * ref
+
+
+def _quad_variance(t, a1, a2, alpha1, alpha2):
+    from scipy.integrate import quad
+
+    dm, p = alpha2 - alpha1, 2.0 * (alpha2 - 1.0)
+
+    def ml_sq(u):
+        e = mittag_leffler(dm, alpha2, -(a1 / a2) * u ** dm)
+        return e * e / (a2 * a2)
+
+    if p < 0.0:
+        return quad(ml_sq, 0.0, t, weight="alg", wvar=(p, 0.0),
+                    limit=200, epsabs=0.0, epsrel=1e-11)[0]
+    return quad(lambda u: u ** p * ml_sq(u), 0.0, t, limit=200, epsabs=0.0, epsrel=1e-11)[0]
+
+
+@SETTINGS
+@given(variance_shapes, st.floats(0.05, 2.0))
+def test_variance_trapezoid_matches_adaptive_quadrature(shape, t):
+    # as alpha2 nears 1/2, quad's algebraic-weight rule is itself off by up
+    # to about 5e-11 (against a 40-digit series), the trapezoid by 1e-15
+    ref = _quad_variance(t, **shape)
+    assert abs(variance_double_integrator(t, **shape) - ref) <= 1e-9 * ref
 
 
 # ---------------------------------------------------------------------------
