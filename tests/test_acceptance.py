@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from dorder.bpf import (make_basis, project_function, project_bivariate,
+from dorder.bpf import (make_basis, project_function, project_stationary,
                         delta_spectral, white_noise_covariance, SpectralVector)
 from dorder.opmat import (integration_matrix, invert_lower_toeplitz, to_dense)
 from dorder.dosys import system_from_dict, assemble_system_operator
@@ -200,7 +200,7 @@ def test_criterion_7_collocation_vs_monte_carlo():
         basis = make_basis(n, horizon)
         forcing = StochasticForcing(
             project_function(lambda t: np.ones_like(t), basis),
-            project_bivariate(kernel, basis))
+            project_stationary(lambda d: 0.25 * np.sinc(d / width), basis))
         r = propagate_moments(sysm, basis, forcing,
                               tensor_cubature(sysm.random_params))
         return basis, forcing, r
