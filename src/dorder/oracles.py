@@ -115,6 +115,10 @@ def _rgamma(g):
     return 1.0 / gam if gam else math.copysign(math.inf, gam)
 
 
+_ML_RTOL = 1e-10  # relative error of a Mittag-Leffler sum past which it raises
+_EPS = float(np.finfo(float).eps)
+
+
 def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z), real z.
 
@@ -123,7 +127,10 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     z stops once two consecutive terms fall below 1e-16 of its partial
     sum.  Intended for the moderate-argument regime (|z| up to about 10
     for orders away from zero); a non-finite argument, term overflow or
-    hitting the term cap raises.  A scalar z gives a float.
+    hitting the term cap raises.  So does cancellation: an alternating
+    series whose largest term times the float epsilon exceeds _ML_RTOL
+    of the sum has lost the digits the result needs.  A scalar z gives
+    a float.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -137,6 +144,7 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
     odd = np.where(zl < 0, -1.0, 1.0)  # sign of an odd power of z
     s = np.zeros(live.size)
     comp = np.zeros(live.size)  # Kahan compensation
+    big = np.zeros(live.size)  # largest |term| so far
     small_run = np.zeros(live.size, dtype=int)
     for k in range(max_terms):
         if not live.size:
@@ -158,13 +166,20 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
         u = s + y
         comp = (u - s) - y
         s = u
+        big = np.maximum(big, np.abs(t))
         small_run = np.where(np.abs(t) < 1e-16 * np.abs(s), small_run + 1, 0)
         done = small_run >= 2
         if done.any():
+            lost = done & ~(_EPS * big <= _ML_RTOL * np.abs(s))
+            if lost.any():
+                i = lost.argmax()
+                raise RuntimeError(
+                    f"Mittag-Leffler series cancels: terms up to {big[i]:.3g} sum to "
+                    f"{s[i]:.3g} for alpha={alpha:g}, beta={beta:g}, z={zl[i]:g}")
             out[live[done]] = s[done]
             keep = ~done
-            live, zl, log_az, odd, s, comp, small_run = (
-                a[keep] for a in (live, zl, log_az, odd, s, comp, small_run))
+            live, zl, log_az, odd, s, comp, big, small_run = (
+                a[keep] for a in (live, zl, log_az, odd, s, comp, big, small_run))
     if live.size:
         raise RuntimeError(f"Mittag-Leffler series did not converge in {max_terms} terms "
                            f"for alpha={alpha:g}, beta={beta:g}, z={zl[0]:g}")
@@ -388,28 +403,66 @@ def _term_weights(terms, n, h):
     return out
 
 
-def _gl_march(lhs_cols, rhs_cols, u, values):
-    """March y through sum c_i w_i * y = sum c_j (w_j * u) (truncated convolutions).
+_STEP_BLOCK = 64  # steps marched together; weights past it are the far history
+_SAMPLE_CHUNK = 256  # Monte Carlo samples marched together
 
-    lhs_cols and rhs_cols are _term_weights lists; the coefficients c
-    are bound at the parameter values `values`.
+
+def _gl_march(lhs_cols, rhs_cols, u, values):
+    """March each row of y through sum c_i w_i * y = sum c_j (w_j * u).
+
+    lhs_cols and rhs_cols are _term_weights lists (truncated
+    convolutions), u holds one input path per row, shape (S, n), and
+    values one parameter dict per row, at which that row's coefficients
+    c are bound.  Steps go in blocks of _STEP_BLOCK.  Lags up to the
+    block length use each row's combined weights sum c_i w_i, as an
+    elementwise product and a row sum.  Each LHS term whose weights
+    reach further gets, per block, one Toeplitz slice of its weights
+    past that lag, shared by the rows and applied to each row as a
+    vector-matrix product.  Every row takes the same calls whatever S
+    is, so a row's bits do not depend on the other rows.
     """
-    n = u.shape[0]
-    w_lhs = np.zeros(n)
+    s_rows, n = u.shape
+    near = min(_STEP_BLOCK, n - 1)  # lags of the near history
+    w = np.zeros((s_rows, near + 1))
+    far = []  # (c, weights with lags <= near zeroed) of the terms that reach further
     for t, col in lhs_cols:
-        w_lhs += _resolve_coeff(t, values) * col
-    rhs = np.zeros(n)
+        c = np.array([_resolve_coeff(t, v) for v in values])
+        w += c[:, None] * col[:near + 1]
+        if _reach(col) > near:
+            tail = col.copy()
+            tail[:near + 1] = 0.0
+            far.append((c, tail))
+    rhs = np.zeros((s_rows, n))
     for t, col in rhs_cols:
-        rhs += _resolve_coeff(t, values) * np.convolve(col, u)[:n]
-    if w_lhs[0] == 0.0:
+        cut = col[:_reach(col) + 1]  # the trailing zeros add nothing
+        for r, v in enumerate(values):
+            rhs[r] += _resolve_coeff(t, v) * np.convolve(cut, u[r])[:n]
+    w0 = w[:, 0]
+    if not w0.all():
         raise ValueError("degenerate stepping operator: leading weight is zero")
-    y = np.empty(n)
-    w0 = w_lhs[0]
-    tail = w_lhs[1:]
-    y[0] = rhs[0] / w0
-    for k in range(1, n):
-        y[k] = (rhs[k] - np.dot(tail[:k], y[k - 1::-1])) / w0
+    w_rev = w[:, :0:-1]  # w_rev[:, near - j] is the weight of lag j
+    y = np.zeros((s_rows, n))
+    for b0 in range(0, n, _STEP_BLOCK):
+        b1 = min(b0 + _STEP_BLOCK, n)
+        acc = rhs[:, b0:b1].copy()
+        hi = b1 - near - 1  # y[:hi] lies more than `near` lags behind some step of the block
+        for c, tail in far if hi > 0 else ():
+            # slab[i, k - b0] = tail[k - i]
+            win = np.lib.stride_tricks.sliding_window_view(tail, b1 - b0)
+            slab = np.ascontiguousarray(win[b0:b0 - hi:-1])
+            acc -= c[:, None] * (y[:, None, :hi] @ slab)[:, 0]
+        for k in range(b0, b1):
+            j = min(k, near)
+            if j:
+                acc[:, k - b0] -= (w_rev[:, near - j:] * y[:, k - j:k]).sum(axis=1)
+            y[:, k] = acc[:, k - b0] / w0
     return y
+
+
+def _reach(col):
+    """Index of the last nonzero entry of col (0 for an all-zero col)."""
+    nz = np.flatnonzero(col)
+    return int(nz[-1]) if nz.size else 0
 
 
 def gl_solve(sys, input_samples, step, param_values=None):
@@ -429,18 +482,24 @@ def gl_solve(sys, input_samples, step, param_values=None):
     if not h > 0:
         raise ValueError(f"step must be positive, got {step!r}")
     return _gl_march(_term_weights(sys.lhs_terms, n, h), _term_weights(sys.rhs_terms, n, h),
-                     u, param_values)
+                     u[None, :], [param_values])[0]
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo with Gaussian-process forcing
 
 def _grid_cholesky(cov_fn, t):
-    """Lower Cholesky factor of cov_fn on the grid t, jitter 1e-10 * trace on the diagonal."""
+    """Lower Cholesky factor of cov_fn on the grid t, jitter 1e-10 * trace on the diagonal.
+
+    The jitter goes onto the diagonal of cov_fn's result in place, unless
+    that result is a view or read-only, so no other N x N array is built.
+    """
     k = np.asarray(cov_fn(t[:, None], t[None, :]), dtype=float)
     if k.shape != (t.size, t.size):
         raise ValueError("cov_fn must evaluate on broadcast grids")
-    k = k + np.eye(t.size) * (1e-10 * np.trace(k))
+    if not (k.flags.owndata and k.flags.writeable):
+        k = k.copy()
+    k.flat[::t.size + 1] += 1e-10 * np.trace(k)
     try:
         return np.linalg.cholesky(k)
     except np.linalg.LinAlgError as e:
@@ -552,8 +611,11 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed):
     into one-pass moment accumulators.
 
     Per-sample generators are spawned from SeedSequence(seed), one
-    child per sample index, so the result is independent of evaluation
-    order and reproducible bit for bit under a fixed seed.
+    child per sample index, so the result is reproducible bit for bit
+    under a fixed seed.  Samples march in chunks of _SAMPLE_CHUNK rows:
+    each chunk draws its samples in index order, forms its Gaussian-
+    process paths as one matrix product, and marches its rows together,
+    and the accumulators take the rows in sample order.
 
     Returns
     -------
@@ -579,15 +641,23 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed):
     params = sys.random_params
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = _RunningMoments(n_grid)
-    for i in range(n_samples):
-        rng = np.random.default_rng(children[i])
-        values = _draw_parameters(params, rng.random(len(params))) if params else {}
-        path = mean_vals
+    for c0 in range(0, n_samples, _SAMPLE_CHUNK):
+        rows = range(c0, min(c0 + _SAMPLE_CHUNK, n_samples))
+        values = []
+        z = np.empty((len(rows), n_grid))
+        for r, i in enumerate(rows):
+            rng = np.random.default_rng(children[i])
+            values.append(_draw_parameters(params, rng.random(len(params))) if params else {})
+            if ell is not None or white_scale is not None:
+                z[r] = rng.standard_normal(n_grid)
         if ell is not None:
-            path = mean_vals + ell @ rng.standard_normal(n_grid)
+            paths = mean_vals + z @ ell.T
         elif white_scale is not None:
-            path = mean_vals + white_scale * rng.standard_normal(n_grid)
-        acc.update(_gl_march(lhs_cols, rhs_cols, path, values))
+            paths = mean_vals + white_scale * z
+        else:
+            paths = np.broadcast_to(mean_vals, z.shape)
+        for y in _gl_march(lhs_cols, rhs_cols, paths, values):
+            acc.update(y)
 
     return McResult(times, acc.mean.copy(), acc.variance(), acc.se_mean(),
                     acc.se_variance())

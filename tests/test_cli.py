@@ -672,6 +672,13 @@ def test_oracle_ml_prints_value(workdir, capsys):
     assert abs(float(out) - math.exp(0.7)) <= 1e-12
 
 
+def test_oracle_ml_cancellation_exits_two(workdir, capsys):
+    # E_{0.3,1}(-5) = 0.1371; the alternating series loses every digit of it
+    assert main(["oracle", "ml", "0.3", "1", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cancels" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["ml", "1", "1", "nan"], ["ml", "1", "nan", "1"],
                                   ["ml", "1", "1", "inf"], ["ml", "1", "inf", "1"],
                                   ["ml", "1", "1", "Infinity"], ["ml", "1", "NaN", "1"]])
