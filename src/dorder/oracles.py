@@ -115,7 +115,7 @@ def _rgamma(g):
     return 1.0 / gam if gam else math.copysign(math.inf, gam)
 
 
-_ML_RTOL = 1e-10  # relative error of a Mittag-Leffler sum past which it raises
+_ML_RTOL = 1e-8  # relative error of a Mittag-Leffler sum past which it raises
 _EPS = float(np.finfo(float).eps)
 
 

@@ -167,6 +167,15 @@ def test_variance_superdiffusive_branch():
     assert abs(v - 0.29851196073438874) <= 1e-8
 
 
+def test_variance_through_sign_changes_of_the_kernel():
+    # D^2 y + y = white noise: var(t) = t/2 - sin(2t)/4.  E_{2,2}(-u^2) = sin(u)/u
+    # changes sign at u = k pi, where its series sums to little against its terms
+    t = np.linspace(0.5, 12.0, 400)
+    ref = t / 2 - np.sin(2 * t) / 4
+    var = variance_double_integrator(t, alpha1=0.0, alpha2=2.0)
+    assert np.max(np.abs(var - ref) / ref) <= 1e-9
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_variance_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):
