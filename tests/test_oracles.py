@@ -600,7 +600,7 @@ def _serial_march(lhs_cols, rhs_cols, u, values):
 
 
 def _ex5_like(n, rows, seed):
-    """Example 5's terms with drawn a and b, and sinc-like paths, one per row."""
+    """Example 5's terms, with drawn a and b and a Gaussian input path per row."""
     dist = DensityTerm("lhs", "derivative", "a", "distributed",
                        lower=0.8015, upper=0.8893, quad_points=5)
     sysm = make_sys([point("lhs", 1.0, 2.0), dist, point("lhs", "b", 0.0)],
@@ -646,7 +646,7 @@ def march_systems(draw):
        st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
 def test_march_matches_serial_march(sysm, n, h, a, seed):
     # the blocks regroup the sums of the serial march, so rows agree to rounding:
-    # up to 5e-12 of max|y| measured on example 5 at n = 1024
+    # 1.8e-13 of max|y| at most over 600 draws, 3.4e-12 on example 5 at n = 1024
     u = np.random.default_rng(seed).standard_normal((len(a), n))
     values = [{"a": ai} for ai in a]
     lhs = oracles._term_weights(sysm.lhs_terms, n, h)
