@@ -414,10 +414,10 @@ def _gl_march(lhs_cols, rhs_cols, u, values):
     convolutions), u holds one input path per row, shape (S, n), and
     values one parameter dict per row, at which that row's coefficients
     c are bound.  Steps go in blocks of _STEP_BLOCK.  Lags up to the
-    block length use each row's combined weights sum c_i w_i, as an
-    elementwise product and a row sum.  Each LHS term whose weights
-    reach further gets, per block, one Toeplitz slice of its weights
-    past that lag, shared by the rows and applied to each row as a
+    block length use each row's combined weights sum c_i w_i, as one
+    dot product per row and step.  Each LHS term whose weights reach
+    further gets, per block, one Toeplitz slice of its weights past
+    that lag, shared by the rows and applied to each row as a
     vector-matrix product.  Every row takes the same calls whatever S
     is, so a row's bits do not depend on the other rows.
     """
@@ -432,19 +432,18 @@ def _gl_march(lhs_cols, rhs_cols, u, values):
             tail = col.copy()
             tail[:near + 1] = 0.0
             far.append((c, tail))
-    rhs = np.zeros((s_rows, n))
+    y = np.zeros((s_rows, n))  # the right-hand side until a block is marched over it
     for t, col in rhs_cols:
         cut = col[:_reach(col) + 1]  # the trailing zeros add nothing
         for r, v in enumerate(values):
-            rhs[r] += _resolve_coeff(t, v) * np.convolve(cut, u[r])[:n]
+            y[r] += _resolve_coeff(t, v) * np.convolve(cut, u[r])[:n]
     w0 = w[:, 0]
     if not w0.all():
         raise ValueError("degenerate stepping operator: leading weight is zero")
-    w_rev = w[:, :0:-1]  # w_rev[:, near - j] is the weight of lag j
-    y = np.zeros((s_rows, n))
+    w_rev = np.ascontiguousarray(w[:, :0:-1])  # w_rev[:, near - j] is the weight of lag j
     for b0 in range(0, n, _STEP_BLOCK):
         b1 = min(b0 + _STEP_BLOCK, n)
-        acc = rhs[:, b0:b1].copy()
+        acc = y[:, b0:b1].copy()
         hi = b1 - near - 1  # y[:hi] lies more than `near` lags behind some step of the block
         for c, tail in far if hi > 0 else ():
             # slab[i, k - b0] = tail[k - i]
@@ -454,7 +453,7 @@ def _gl_march(lhs_cols, rhs_cols, u, values):
         for k in range(b0, b1):
             j = min(k, near)
             if j:
-                acc[:, k - b0] -= (w_rev[:, near - j:] * y[:, k - j:k]).sum(axis=1)
+                acc[:, k - b0] -= np.vecdot(w_rev[:, near - j:], y[:, k - j:k])
             y[:, k] = acc[:, k - b0] / w0
     return y
 
@@ -644,18 +643,17 @@ def mc_moments(sys, forcing, horizon, n_grid, n_samples, seed):
     for c0 in range(0, n_samples, _SAMPLE_CHUNK):
         rows = range(c0, min(c0 + _SAMPLE_CHUNK, n_samples))
         values = []
-        z = np.empty((len(rows), n_grid))
+        paths = np.zeros((len(rows), n_grid))
         for r, i in enumerate(rows):
             rng = np.random.default_rng(children[i])
             values.append(_draw_parameters(params, rng.random(len(params))) if params else {})
             if ell is not None or white_scale is not None:
-                z[r] = rng.standard_normal(n_grid)
+                paths[r] = rng.standard_normal(n_grid)
         if ell is not None:
-            paths = mean_vals + z @ ell.T
+            paths = paths @ ell.T
         elif white_scale is not None:
-            paths = mean_vals + white_scale * z
-        else:
-            paths = np.broadcast_to(mean_vals, z.shape)
+            paths *= white_scale
+        paths += mean_vals
         for y in _gl_march(lhs_cols, rhs_cols, paths, values):
             acc.update(y)
 

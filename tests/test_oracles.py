@@ -612,7 +612,7 @@ def _ex5_like(n, rows, seed):
     return sysm, 1.0 + 0.5 * rng.standard_normal((rows, n)), values
 
 
-@pytest.mark.parametrize("n", [40, 128, 200])  # below, at and off a multiple of the block
+@pytest.mark.parametrize("n", [40, 77, 128, 200])  # below, at and off a multiple of the block
 def test_march_rows_do_not_depend_on_batch_size(n):
     rows = 300
     sysm, u, values = _ex5_like(n, rows, seed=n)
@@ -646,7 +646,7 @@ def march_systems(draw):
        st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4), st.integers(0, 2 ** 32 - 1))
 def test_march_matches_serial_march(sysm, n, h, a, seed):
     # the blocks regroup the sums of the serial march, so rows agree to rounding:
-    # 1.8e-13 of max|y| at most over 600 draws, 3.4e-12 on example 5 at n = 1024
+    # 1.8e-13 of max|y| at most over 600 draws, 4.2e-12 on example 5 at n = 1024
     u = np.random.default_rng(seed).standard_normal((len(a), n))
     values = [{"a": ai} for ai in a]
     lhs = oracles._term_weights(sysm.lhs_terms, n, h)
