@@ -167,7 +167,9 @@ def mittag_leffler(alpha, beta, z, max_terms=10 ** 4):
         comp = (u - s) - y
         s = u
         big = np.maximum(big, np.abs(t))
-        small_run = np.where(np.abs(t) < 1e-16 * np.abs(s), small_run + 1, 0)
+        # a zero term also counts once the sum is so small that 1e-16 of it underflows
+        small = (np.abs(t) < 1e-16 * np.abs(s)) | ((t == 0) & (s != 0))
+        small_run = np.where(small, small_run + 1, 0)
         done = small_run >= 2
         if done.any():
             lost = done & ~(_EPS * big <= _ML_RTOL * np.abs(s))

@@ -88,6 +88,14 @@ def test_ml_cancellation_raises(alpha, beta, z):
         mittag_leffler(alpha, beta, np.array([0.5, z]))
 
 
+@pytest.mark.parametrize("z", [5e-324, -5e-324, 1e-310])
+def test_ml_subnormal_argument_converges(z):
+    # E_{1,0}(z) = z e^z; 1e-16 of a subnormal sum underflows to 0, below every term
+    assert mittag_leffler(1.0, 0.0, z) == z
+    assert np.array_equal(mittag_leffler(1.0, 0.0, np.array([z, 0.5])),
+                          [z, mittag_leffler(1.0, 0.0, 0.5)])
+
+
 # ---------------------------------------------------------------------------
 # impulse-response integral, cross-checked by Laplace inversion
 
@@ -311,8 +319,9 @@ SETTINGS = settings(max_examples=30, deadline=None)
 def test_ml_array_call_is_scalar_calls(alpha, beta, z):
     try:
         scalar = [mittag_leffler(alpha, beta, zi) for zi in z]
-    except RuntimeError:  # an entry the series cannot sum raises in the array call too
-        with pytest.raises(RuntimeError):
+    except RuntimeError as e:  # an entry whose series cancels raises in the array call too
+        assert "cancels" in str(e)
+        with pytest.raises(RuntimeError, match="cancels"):
             mittag_leffler(alpha, beta, np.array(z))
         return
     assert np.array_equal(mittag_leffler(alpha, beta, np.array(z)), scalar)
